@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linkage
 from .lifecycle import GrantState, build_vpd, check_validity
-from .queryir import Query, RowSet, Select, Union, parse_query, render_query
+from .queryir import (Query, RowSet, Select, _render_predicate, parse_query, render_query,
+                      union_branches)
 from .relstore import Dataset
 from .sessionctx import SessionContext
 from .vpdrewrite import ContextMap, VpdDefinition, entails, materialize
@@ -41,11 +41,12 @@ def run_query(d: Dataset, ctx: SessionContext, query: str | Query, *,
     return QueryOutcome(state=state, vpd=vpd, rows=rows, entailed=entailed, witness=witness)
 
 
-def _union_tree(q: Query, indent: str = "") -> list[str]:
-    if isinstance(q, Union):
-        return [indent + "UNION"] + _union_tree(q.left, indent + "  ") \
-            + _union_tree(q.right, indent + "  ")
-    return [indent + render_query(q)]
+def _union_lines(q: Query) -> list[str]:
+    """A Select as one line; a UNION as a "UNION" line and its branches indented once."""
+    branches = union_branches(q)
+    if len(branches) == 1:
+        return [render_query(q)]
+    return ["UNION", *(f"  {render_query(b)}" for b in branches)]
 
 
 def explain(d: Dataset, ctx: SessionContext, query: str | Query, *,
@@ -60,12 +61,9 @@ def explain(d: Dataset, ctx: SessionContext, query: str | Query, *,
     original = render_query(query)
     rewritten = outcome.vpd.query
     injected: list[str] = []
-    first_branch = rewritten
-    while isinstance(first_branch, Union):
-        first_branch = first_branch.left
-    if isinstance(first_branch, Select) and isinstance(query, Select):
+    first_branch = union_branches(rewritten)[0]
+    if isinstance(query, Select):
         user_preds = len(query.where)
-        from .queryir import _render_predicate
         preds = first_branch.where[:len(first_branch.where) - user_preds] \
             if user_preds else first_branch.where
         injected = [_render_predicate(p) for p in preds]
@@ -77,7 +75,7 @@ def explain(d: Dataset, ctx: SessionContext, query: str | Query, *,
         "injected predicates:",
         *(f"  {p}" for p in injected),
         "expansion:",
-        *(f"  {line}" for line in _union_tree(rewritten)),
+        *(f"  {line}" for line in _union_lines(rewritten)),
         f"provenance: {', '.join(outcome.vpd.provenance)}",
         f"verdict: {outcome.state.state} ({outcome.state.reason})",
         f"entailment: {'satisfied' if outcome.entailed else 'VIOLATED'}",
@@ -86,20 +84,5 @@ def explain(d: Dataset, ctx: SessionContext, query: str | Query, *,
         lines.append(f"witness: {outcome.witness}")
     if outcome.vpd.closed_query is not None:
         lines.append("closed form:")
-        lines.extend(f"  {line}" for line in _union_tree(outcome.vpd.closed_query))
+        lines.extend(f"  {line}" for line in _union_lines(outcome.vpd.closed_query))
     return "\n".join(lines)
-
-
-def accessible_ids(d: Dataset, ctx: SessionContext, *, chain_mode: str = "workflow",
-                   supervisor_mode: str = "narrative",
-                   contexts: ContextMap | None = None) -> set[str]:
-    """Object ids reachable through the default object request; gate applied."""
-    outcome = run_query(d, ctx, "select * from object", chain_mode=chain_mode,
-                        supervisor_mode=supervisor_mode, contexts=contexts)
-    if not outcome.state.valid:
-        return set()
-    return set(outcome.rows.column("object.oid"))
-
-
-def subject_has_subordinates(d: Dataset, user: str) -> bool:
-    return bool(linkage.subordinates(user, d))

@@ -18,13 +18,20 @@ ordering, grouping, aggregates, non-equality comparisons, constant-only
 predicates) is rejected at parse time. Absent values (None) compare
 unequal to everything, including each other.
 
+UNIONs of any width are walked iteratively (union_branches), so printing
+and evaluating them never recurses per branch. The evaluator evaluates
+branches that differ only in one constant as one join and streams every
+join; see evaluate.
+
 Parsing and evaluation are pure; Query and RowSet values are immutable.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
+from itertools import chain
 
 from .errors import (
     QuerySyntaxError,
@@ -119,6 +126,24 @@ class Union:
 Query = Select | Union
 
 STAR = ColumnRef(None, "*")
+
+
+def union_branches(q: Query) -> list[Select]:
+    """The Select branches of a UNION tree, left to right, without recursion.
+
+    A Select is its own single branch. Trees of any shape and width are
+    walked with an explicit stack, so a supervisor's union of thousands
+    of branches never reaches Python's recursion limit.
+    """
+    out: list[Select] = []
+    stack: list[Query] = [q]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Union):
+            stack += (node.right, node.left)
+        else:
+            out.append(node)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +408,15 @@ def _render_predicate(p: Predicate) -> str:
 
 
 def render_query(q: Query) -> str:
-    """Canonical text: upper-case keywords, one predicate per AND, stable order."""
-    if isinstance(q, Union):
-        return f"{render_query(q.left)} UNION {render_query(q.right)}"
+    """Canonical text: upper-case keywords, one predicate per AND, stable order.
+
+    A UNION of any width renders its branches joined by " UNION ",
+    without recursing once per Union node.
+    """
+    return " UNION ".join(_render_select(b) for b in union_branches(q))
+
+
+def _render_select(q: Select) -> str:
     parts = ["SELECT ", ", ".join(str(c) for c in q.projection),
              " FROM ", ", ".join(str(t) for t in q.tables)]
     if q.where:
@@ -498,33 +529,77 @@ def _in_range_holds(pred: InRange, dataset, ctx) -> bool:
 
 
 def evaluate(q: Query, dataset, ctx=None) -> RowSet:
-    """Bag-semantics evaluation of a Select, set semantics for UNION."""
-    if isinstance(q, Union):
-        left = evaluate(q.left, dataset, ctx)
-        right = evaluate(q.right, dataset, ctx)
-        if len(left.schema) != len(right.schema):
-            raise VpdGateError(
-                f"UNION branches have different arity: {len(left.schema)} vs {len(right.schema)}")
-        merged = tuple(dict.fromkeys(left.rows + right.rows))
-        return RowSet(left.schema, merged)
+    """Bag-semantics evaluation of a Select, set semantics for UNION.
 
+    A UNION of any width evaluates without recursion. Branches that are
+    identical except for the constant of their first `col = literal`
+    predicate (a supervisor's branches differ only in `subject.name =
+    '<pinned subject>'`) share one join, with that column bound to the set
+    of their constants: under set semantics σ[P ∧ a=c1] ∪ σ[P ∧ a=c2] =
+    σ[P ∧ a∈{c1,c2}]. Joins stream, and a UNION drops duplicate rows as
+    they are produced.
+    """
+    if isinstance(q, Union):
+        return _evaluate_union(union_branches(q), dataset, ctx)
+    schema, rows = _select(q, dataset, ctx)
+    return RowSet(schema, tuple(rows))
+
+
+def _pinned_slot(q: Select) -> int | None:
+    """Index of the first `col = literal` predicate, the one UNION branches group on."""
+    return next((k for k, p in enumerate(q.where) if isinstance(p, ColEqConst)), None)
+
+
+def _evaluate_union(branches: list[Select], dataset, ctx) -> RowSet:
+    # Group branches by shape: the branch with its pinned constant set to
+    # None. A None constant matches no row, so it is dropped from the set.
+    groups: dict[Select, list] = {}
+    for b in branches:
+        k = _pinned_slot(b)
+        if k is None:
+            groups.setdefault(b, [])
+            continue
+        pinned = b.where[k]
+        shape = replace(b, where=b.where[:k] + (ColEqConst(pinned.a, None),) + b.where[k + 1:])
+        groups.setdefault(shape, []).append(pinned.value)
+
+    schema: tuple[str, ...] | None = None
+    parts = []
+    for shape, constants in groups.items():
+        k = _pinned_slot(shape)
+        pin = None if k is None else (k, frozenset(c for c in constants if c is not None))
+        branch_schema, rows = _select(shape, dataset, ctx, pin)
+        if schema is None:
+            schema = branch_schema
+        elif len(branch_schema) != len(schema):
+            raise VpdGateError(
+                f"UNION branches have different arity: {len(schema)} vs {len(branch_schema)}")
+        parts.append(rows)
+    return RowSet(schema, tuple(dict.fromkeys(chain.from_iterable(parts))))
+
+
+def _select(q: Select, dataset, ctx, pin: tuple[int, frozenset] | None = None):
+    """Schema and streamed projected rows of one Select.
+
+    With pin = (k, values), q.where[k] (a `col = literal`) is evaluated
+    as membership of col in values instead.
+    """
     scope = _Scope(q, dataset)
+    targets = _projection_targets(q, scope)
+    schema = tuple(f"{b}.{col}" for b, col, _ in targets)
 
     # Row-independent gates first: a false range predicate empties the result.
-    plain: list[Predicate] = []
-    for pred in q.where:
-        if isinstance(pred, InRange):
-            if not _in_range_holds(pred, dataset, ctx):
-                return RowSet(_projection_schema(q, scope), ())
-        else:
-            plain.append(pred)
+    if not all(_in_range_holds(p, dataset, ctx) for p in q.where if isinstance(p, InRange)):
+        return schema, iter(())
 
     # Pre-resolve predicate columns and constants.
     equalities: list[tuple[tuple[str, int], tuple[str, int]]] = []
     filters: list[tuple[tuple[str, int], object]] = []
     memberships: list[tuple[tuple[str, int], frozenset]] = []
-    for pred in plain:
-        if isinstance(pred, ColEqCol):
+    for k, pred in enumerate(q.where):
+        if pin is not None and k == pin[0]:
+            memberships.append((scope.resolve(pred.a), pin[1]))
+        elif isinstance(pred, ColEqCol):
             equalities.append((scope.resolve(pred.a), scope.resolve(pred.b)))
         elif isinstance(pred, ColEqConst):
             filters.append((scope.resolve(pred.a), pred.value))
@@ -538,12 +613,9 @@ def evaluate(q: Query, dataset, ctx=None) -> RowSet:
                                 frozenset(v for v in inner.column(inner.schema[0])
                                           if v is not None)))
 
+    extractors = [(b, i) for b, _, i in targets]
     env = _join(scope, equalities, filters, memberships)
-
-    schema = _projection_schema(q, scope)
-    extractors = _projection_extractors(q, scope)
-    rows = tuple(tuple(row[b][i] for b, i in extractors) for row in env)
-    return RowSet(schema, rows)
+    return schema, (tuple(e[b][i] for b, i in extractors) for e in env)
 
 
 def _projection_targets(q: Select, scope: _Scope) -> list[tuple[str, str, int]]:
@@ -562,35 +634,27 @@ def _projection_targets(q: Select, scope: _Scope) -> list[tuple[str, str, int]]:
     return targets
 
 
-def _projection_schema(q: Select, scope: _Scope) -> tuple[str, ...]:
-    return tuple(f"{b}.{col}" for b, col, _ in _projection_targets(q, scope))
-
-
-def _projection_extractors(q: Select, scope: _Scope) -> list[tuple[str, int]]:
-    return [(b, i) for b, _, i in _projection_targets(q, scope)]
-
-
-def _join(scope: _Scope, equalities, filters, memberships) -> list[dict[str, tuple]]:
+def _join(scope: _Scope, equalities, filters, memberships) -> Iterator[dict[str, tuple]]:
     """Incremental join over the FROM bindings.
 
     Each binding is folded in with a hash join when an equality predicate
     links it to an already-bound table, falling back to a cross product.
-    Unary filters are applied to a table's rows before it joins.
+    Unary filters and memberships are applied to a table's rows before it
+    joins. Tables are filtered and hashed here; the joined environments
+    stream through one generator per step, so no step holds them all.
     """
     bound: set[str] = set()
-    env: list[dict[str, tuple]] = [{}]
+    env: Iterator[dict[str, tuple]] = iter(({},))
     pending_eq = list(equalities)
-    pending_mem = list(memberships)
 
     for binding in scope.bindings:
-        rows = list(scope.rows[binding])
+        rows = scope.rows[binding]
         for (b, i), value in filters:
             if b == binding:
                 rows = [r for r in rows if r[i] is not None and r[i] == value]
-        for (b, i), values in list(pending_mem):
+        for (b, i), values in memberships:
             if b == binding:
                 rows = [r for r in rows if r[i] in values]
-                pending_mem.remove(((b, i), values))
 
         join_key = None
         for eq in pending_eq:
@@ -609,24 +673,36 @@ def _join(scope: _Scope, equalities, filters, memberships) -> list[dict[str, tup
             for r in rows:
                 if r[ni] is not None:
                     table.setdefault(r[ni], []).append(r)
-            env = [dict(e, **{binding: r})
-                   for e in env
-                   if e[ob][oi] is not None
-                   for r in table.get(e[ob][oi], ())]
+            env = _probe(env, binding, table, ob, oi)
         else:
-            env = [dict(e, **{binding: r}) for e in env for r in rows]
+            env = _cross(env, binding, rows)
         bound.add(binding)
 
-        # Apply any remaining predicates that just became fully bound.
+        # Apply any remaining equalities that just became fully bound.
         for eq in list(pending_eq):
             (b1, i1), (b2, i2) = eq
             if b1 in bound and b2 in bound:
-                env = [e for e in env
-                       if e[b1][i1] is not None and e[b1][i1] == e[b2][i2]]
+                env = _where_equal(env, b1, i1, b2, i2)
                 pending_eq.remove(eq)
-        for (b, i), values in list(pending_mem):
-            if b in bound:
-                env = [e for e in env if e[b][i] in values]
-                pending_mem.remove(((b, i), values))
 
     return env
+
+
+def _cross(env, binding: str, rows) -> Iterator[dict[str, tuple]]:
+    for e in env:
+        for r in rows:
+            yield {**e, binding: r}
+
+
+def _probe(env, binding: str, table: dict, ob: str, oi: int) -> Iterator[dict[str, tuple]]:
+    # table holds no None key, so an absent join value finds no rows.
+    for e in env:
+        for r in table.get(e[ob][oi], ()):
+            yield {**e, binding: r}
+
+
+def _where_equal(env, b1: str, i1: int, b2: str, i2: int) -> Iterator[dict[str, tuple]]:
+    for e in env:
+        v = e[b1][i1]
+        if v is not None and v == e[b2][i2]:
+            yield e

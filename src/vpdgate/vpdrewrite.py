@@ -45,6 +45,7 @@ from .queryir import (
     TableRef,
     Union,
     evaluate,
+    union_branches,
 )
 from .relstore import TABLE_COLUMNS, Dataset
 from .sessionctx import SessionContext
@@ -178,14 +179,16 @@ def rewrite(q: Query, ctx: SessionContext, d: Dataset,
     table (workflow chain, specialty match, or direct sender/receiver).
     """
     if isinstance(q, Union):
-        left = rewrite(q.left, ctx, d, policies, mode)
-        right = rewrite(q.right, ctx, d, policies, mode)
+        parts = [rewrite(b, ctx, d, policies, mode) for b in union_branches(q)]
+        provenance = parts[0].provenance
+        for part in parts[1:]:
+            provenance += part.provenance + ("union-request",)
         return VpdDefinition(
             subject=ctx.user,
-            location_dependent=left.location_dependent,
-            time_dependent=left.time_dependent,
-            query=Union(left.query, right.query),
-            provenance=left.provenance + right.provenance + ("union-request",))
+            location_dependent=parts[0].location_dependent,
+            time_dependent=parts[0].time_dependent,
+            query=_union_of([part.query for part in parts]),
+            provenance=provenance)
 
     aliases = _alias_map(q)
     user_tables = [aliases[t.binding] for t in q.tables]
@@ -210,10 +213,6 @@ def rewrite(q: Query, ctx: SessionContext, d: Dataset,
             tables=tuple(TableRef(t) for t in from_tables),
             where=gates + branch_preds + user_preds))
 
-    query: Query = branches[0]
-    for branch in branches[1:]:
-        query = Union(query, branch)
-
     provenance = [f"mode:{mode}", "session-predicate"]
     if wireless:
         provenance.insert(1, "range-gates")
@@ -226,7 +225,7 @@ def rewrite(q: Query, ctx: SessionContext, d: Dataset,
         subject=ctx.user,
         location_dependent=wireless,
         time_dependent=wireless,
-        query=query,
+        query=_union_of(branches),
         provenance=tuple(provenance))
 
 
@@ -234,13 +233,8 @@ def rewrite(q: Query, ctx: SessionContext, d: Dataset,
 # Supervisor expansion
 # ---------------------------------------------------------------------------
 
-def _selects(q: Query) -> list[Select]:
-    if isinstance(q, Union):
-        return _selects(q.left) + _selects(q.right)
-    return [q]
-
-
 def _union_of(selects: list[Select]) -> Query:
+    """Left-deep UNION of the selects, the shape the parser builds."""
     out: Query = selects[0]
     for s in selects[1:]:
         out = Union(out, s)
@@ -322,7 +316,8 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
     if not subs:
         return base
 
-    own = [_instantiate(sel, s, strip_gates=False) for sel in _selects(base.query)]
+    base_branches = union_branches(base.query)
+    own = [_instantiate(sel, s, strip_gates=False) for sel in base_branches]
     branches = list(own)
     dropped = []
     for sub in subs:
@@ -330,14 +325,14 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
             dropped.append(sub)
             continue
         branches.extend(_instantiate(sel, sub, strip_gates=True)
-                        for sel in _selects(base.query))
+                        for sel in base_branches)
 
     dept = d.subject_by_name[s].dept
     levels = linkage.sub_ou_levels(dept, d)
     closed = list(own)
     for depth in range(1, len(levels) + 1):
         membership = _dept_membership(depth, dept)
-        for sel in _selects(base.query):
+        for sel in base_branches:
             pinned = _instantiate(sel, s, strip_gates=True)
             closed.append(replace(pinned,
                                   where=_swap_identity(pinned.where, s, membership)))
