@@ -18,6 +18,7 @@ import fcntl
 import json
 import os
 import sys
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -40,16 +41,38 @@ def _default_state_path(data_dir: str) -> Path:
 
 @contextmanager
 def _locked_state(path: Path):
+    """The session state under an exclusive lock, written back only if changed.
+
+    The new state goes to a temporary file in the same directory that
+    replaces the old one in a single rename, so a crash or an error while
+    writing leaves the previous file whole.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     lock_path = path.with_suffix(path.suffix + ".lock")
     with open(lock_path, "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         try:
             state = json.loads(path.read_text()) if path.exists() else {"sessions": {}}
+            before = json.dumps(state, indent=2)
             yield state
-            path.write_text(json.dumps(state, indent=2))
+            after = json.dumps(state, indent=2)
+            if after != before:
+                _replace_file(path, after)
         finally:
             fcntl.flock(lock, fcntl.LOCK_UN)
+
+
+def _replace_file(path: Path, text: str) -> None:
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load_data(args) -> relstore.Dataset:

@@ -129,9 +129,7 @@ def workflow(target: str, d: Dataset) -> JoinChain:
 
 def sub_ou_closure(ou: str, d: Dataset) -> set[str]:
     """Strict transitive closure of sub-units below ou (ou itself excluded)."""
-    children: dict[str, list[str]] = {}
-    for e in d.org_edges:
-        children.setdefault(e.ou, []).append(e.sub_ou)
+    children = d.org_children
     out: set[str] = set()
     stack = list(children.get(ou, ()))
     while stack:
@@ -145,9 +143,7 @@ def sub_ou_closure(ou: str, d: Dataset) -> set[str]:
 
 def sub_ou_levels(ou: str, d: Dataset) -> list[set[str]]:
     """Sub-units below ou grouped by minimum edge distance (level 1 first)."""
-    children: dict[str, list[str]] = {}
-    for e in d.org_edges:
-        children.setdefault(e.ou, []).append(e.sub_ou)
+    children = d.org_children
     levels: list[set[str]] = []
     seen = {ou}
     current = {c for c in children.get(ou, ()) if c != ou}
@@ -167,29 +163,27 @@ def organization(s1: str, s2: str, d: Dataset) -> bool:
 def subordinates(s: str, d: Dataset) -> set[str]:
     """All subject names s' with organization(s', s)."""
     subj = _subject(s, d)
-    below = sub_ou_closure(subj.dept, d)
-    return {other.name for other in d.subjects if other.dept in below}
-
-
-def org_distance(s1: str, s2: str, d: Dataset) -> int | None:
-    """Edge distance from s2's dept down to s1's dept, None if unrelated."""
-    a, b = _subject(s1, d), _subject(s2, d)
-    for depth, level in enumerate(sub_ou_levels(b.dept, d), start=1):
-        if a.dept in level:
-            return depth
-    return None
+    by_dept = d.subjects_by_dept
+    return {other.name for ou in sub_ou_closure(subj.dept, d)
+            for other in by_dept.get(ou, ())}
 
 
 def supervisors(s: str, d: Dataset) -> list[str]:
-    """Subjects s is subordinate to, nearest first, ties by name."""
-    ranked = []
-    for other in d.subjects:
-        if other.name == s:
-            continue
-        dist = org_distance(s, other.name, d)
-        if dist is not None:
-            ranked.append((dist, other.name))
-    return [name for _, name in sorted(ranked)]
+    """Subjects s is subordinate to, nearest first, ties by name.
+
+    One upward BFS from s's dept: the level at which a unit is first
+    reached is its minimum edge distance down to s's dept.
+    """
+    parents, by_dept = d.org_parents, d.subjects_by_dept
+    start = _subject(s, d).dept
+    out: list[str] = []
+    seen = {start}
+    current = {p for p in parents.get(start, ()) if p != start}
+    while current:
+        out += sorted(other.name for ou in current for other in by_dept.get(ou, ()))
+        seen.update(current)
+        current = {p for node in current for p in parents.get(node, ()) if p not in seen}
+    return out
 
 
 def link(requester: str, target: str, mode: str, d: Dataset) -> list[tuple[Predicate, ...]]:

@@ -21,7 +21,9 @@ unequal to everything, including each other.
 UNIONs of any width are walked iteratively (union_branches), so printing
 and evaluating them never recurses per branch. The evaluator evaluates
 branches that differ only in one constant as one join and streams every
-join; see evaluate.
+join; see evaluate. Joins read candidate rows from the Dataset's lazily
+built per-column indexes instead of scanning tables, so a request costs
+in proportion to the rows it touches; see _join.
 
 Parsing and evaluation are pure; Query and RowSet values are immutable.
 """
@@ -40,8 +42,8 @@ from .errors import (
     UnsupportedFeatureError,
     VpdGateError,
 )
+from .sessionctx import CONTEXT_KEYS, context_lookup
 
-CONTEXT_KEYS = ("session_user", "l", "t")
 RANGE_KINDS = ("location", "time")
 
 
@@ -473,6 +475,7 @@ class _Scope:
 
     def __init__(self, select: Select, dataset):
         self.bindings: list[str] = []
+        self.tables: dict[str, str] = {}
         self.columns: dict[str, tuple[str, ...]] = {}
         self.rows: dict[str, tuple[tuple, ...]] = {}
         for t in select.tables:
@@ -481,6 +484,7 @@ class _Scope:
                 raise UnknownTableError(f"duplicate table binding {binding!r}")
             cols, rows = dataset.table(t.table)
             self.bindings.append(binding)
+            self.tables[binding] = t.table
             self.columns[binding] = cols
             self.rows[binding] = rows
 
@@ -503,7 +507,6 @@ class _Scope:
 
 
 def _context_value(ctx, key: str):
-    from .sessionctx import context_lookup
     from .timeutil import format_timestamp
     from datetime import datetime
 
@@ -517,7 +520,6 @@ def _in_range_holds(pred: InRange, dataset, ctx) -> bool:
     # Local import: linkage builds route ranges from the dataset manifest
     # and itself depends on this module's AST types.
     from . import linkage
-    from .sessionctx import context_lookup
 
     if pred.key == "l":
         loc = context_lookup(ctx, "l")
@@ -567,7 +569,7 @@ def _evaluate_union(branches: list[Select], dataset, ctx) -> RowSet:
     parts = []
     for shape, constants in groups.items():
         k = _pinned_slot(shape)
-        pin = None if k is None else (k, frozenset(c for c in constants if c is not None))
+        pin = None if k is None else (k, dict.fromkeys(c for c in constants if c is not None))
         branch_schema, rows = _select(shape, dataset, ctx, pin)
         if schema is None:
             schema = branch_schema
@@ -578,11 +580,13 @@ def _evaluate_union(branches: list[Select], dataset, ctx) -> RowSet:
     return RowSet(schema, tuple(dict.fromkeys(chain.from_iterable(parts))))
 
 
-def _select(q: Select, dataset, ctx, pin: tuple[int, frozenset] | None = None):
+def _select(q: Select, dataset, ctx, pin: tuple[int, dict] | None = None):
     """Schema and streamed projected rows of one Select.
 
     With pin = (k, values), q.where[k] (a `col = literal`) is evaluated
-    as membership of col in values instead.
+    as membership of col in values instead. Membership values are
+    insertion-ordered dicts (O(1) `in`, and an iteration order that does
+    not depend on the hash seed, so neither does the row order).
     """
     scope = _Scope(q, dataset)
     targets = _projection_targets(q, scope)
@@ -595,7 +599,7 @@ def _select(q: Select, dataset, ctx, pin: tuple[int, frozenset] | None = None):
     # Pre-resolve predicate columns and constants.
     equalities: list[tuple[tuple[str, int], tuple[str, int]]] = []
     filters: list[tuple[tuple[str, int], object]] = []
-    memberships: list[tuple[tuple[str, int], frozenset]] = []
+    memberships: list[tuple[tuple[str, int], dict]] = []
     for k, pred in enumerate(q.where):
         if pin is not None and k == pin[0]:
             memberships.append((scope.resolve(pred.a), pin[1]))
@@ -610,11 +614,11 @@ def _select(q: Select, dataset, ctx, pin: tuple[int, frozenset] | None = None):
             if len(inner.schema) != 1:
                 raise VpdGateError("IN subquery must project exactly one column")
             memberships.append((scope.resolve(pred.a),
-                                frozenset(v for v in inner.column(inner.schema[0])
-                                          if v is not None)))
+                                dict.fromkeys(v for v in inner.column(inner.schema[0])
+                                              if v is not None)))
 
     extractors = [(b, i) for b, _, i in targets]
-    env = _join(scope, equalities, filters, memberships)
+    env = _join(scope, dataset, equalities, filters, memberships)
     return schema, (tuple(e[b][i] for b, i in extractors) for e in env)
 
 
@@ -634,13 +638,23 @@ def _projection_targets(q: Select, scope: _Scope) -> list[tuple[str, str, int]]:
     return targets
 
 
-def _join(scope: _Scope, equalities, filters, memberships) -> Iterator[dict[str, tuple]]:
-    """Incremental join over the FROM bindings.
+def _join(scope: _Scope, dataset, equalities, filters,
+          memberships) -> Iterator[dict[str, tuple]]:
+    """Incremental join over the FROM bindings, in FROM order.
 
-    Each binding is folded in with a hash join when an equality predicate
-    links it to an already-bound table, falling back to a cross product.
-    Unary filters and memberships are applied to a table's rows before it
-    joins. Tables are filtered and hashed here; the joined environments
+    A binding's candidate rows come from the dataset's per-column indexes
+    (Dataset.index), not from a scan of its table:
+
+    * with a `col = literal/context` filter, the index bucket of its
+      first such filter;
+    * else with a membership, the buckets of the membership's values;
+    * else, when an equality links it to an already-bound binding, the
+      bucket of each environment's join value, probed per environment.
+
+    Only a binding with none of these is scanned. Its remaining filters
+    and memberships are checked per candidate row, and candidates taken
+    from a filter or membership are hashed on the join column when an
+    equality links them to the bound bindings. The joined environments
     stream through one generator per step, so no step holds them all.
     """
     bound: set[str] = set()
@@ -648,13 +662,8 @@ def _join(scope: _Scope, equalities, filters, memberships) -> Iterator[dict[str,
     pending_eq = list(equalities)
 
     for binding in scope.bindings:
-        rows = scope.rows[binding]
-        for (b, i), value in filters:
-            if b == binding:
-                rows = [r for r in rows if r[i] is not None and r[i] == value]
-        for (b, i), values in memberships:
-            if b == binding:
-                rows = [r for r in rows if r[i] in values]
+        own_filters = [(i, value) for (b, i), value in filters if b == binding]
+        own_memberships = [(i, values) for (b, i), values in memberships if b == binding]
 
         join_key = None
         for eq in pending_eq:
@@ -666,14 +675,34 @@ def _join(scope: _Scope, equalities, filters, memberships) -> Iterator[dict[str,
                 join_key = ((b2, i2), i1, eq)
                 break
 
+        table, columns = scope.tables[binding], scope.columns[binding]
+        if own_filters:
+            i, value = own_filters.pop(0)
+            rows = dataset.index(table, columns[i]).get(value, ())
+        elif own_memberships:
+            i, values = own_memberships.pop(0)
+            index = dataset.index(table, columns[i])
+            rows = [r for v in values for r in index.get(v, ())]
+        elif join_key is None:
+            rows = scope.rows[binding]
+        else:
+            rows = None  # probed per environment below
+        if own_filters or own_memberships:
+            rows = [r for r in rows
+                    if all(r[i] is not None and r[i] == value for i, value in own_filters)
+                    and all(r[i] in values for i, values in own_memberships)]
+
         if join_key is not None:
             (ob, oi), ni, used = join_key
             pending_eq.remove(used)
-            table: dict[object, list[tuple]] = {}
-            for r in rows:
-                if r[ni] is not None:
-                    table.setdefault(r[ni], []).append(r)
-            env = _probe(env, binding, table, ob, oi)
+            if rows is None:
+                by_value = dataset.index(table, columns[ni])
+            else:
+                by_value = {}
+                for r in rows:
+                    if r[ni] is not None:
+                        by_value.setdefault(r[ni], []).append(r)
+            env = _probe(env, binding, by_value, ob, oi)
         else:
             env = _cross(env, binding, rows)
         bound.add(binding)
@@ -694,10 +723,10 @@ def _cross(env, binding: str, rows) -> Iterator[dict[str, tuple]]:
             yield {**e, binding: r}
 
 
-def _probe(env, binding: str, table: dict, ob: str, oi: int) -> Iterator[dict[str, tuple]]:
-    # table holds no None key, so an absent join value finds no rows.
+def _probe(env, binding: str, by_value: dict, ob: str, oi: int) -> Iterator[dict[str, tuple]]:
+    # by_value holds no None key, so an absent join value finds no rows.
     for e in env:
-        for r in table.get(e[ob][oi], ()):
+        for r in by_value.get(e[ob][oi], ()):
             yield {**e, binding: r}
 
 

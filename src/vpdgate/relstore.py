@@ -6,6 +6,13 @@ org_hierarchy) plus per-carrier route polylines and the schema manifest
 immutable after load; every mutation helper returns a new version, so
 unlimited concurrent readers are safe.
 
+Each version builds its lookup structures lazily and keeps them: the
+per-(table, column) hash indexes the query evaluator probes (Dataset.index,
+built on the first probe of that column, never at load), assignments by
+subject, and the org children, parents and subjects-by-dept maps that
+linkage walks. A mutation helper's new version starts with empty caches,
+so no cache can go stale.
+
 Sources are either a directory of CSV files (one per table, headers in
 lower_snake_case, plus geocode.csv mapping place names to coordinates and
 an optional schema.json), a single JSON document with one array per
@@ -21,7 +28,7 @@ from datetime import date, datetime
 from functools import cached_property
 from pathlib import Path
 
-from .errors import IntegrityError, ParseError
+from .errors import IntegrityError, ParseError, UnknownColumnError
 from .timeutil import day_end, day_start, format_timestamp, parse_date, parse_timestamp
 
 Point = tuple[float, float]
@@ -185,8 +192,26 @@ class Dataset:
     def object_by_id(self) -> dict[str, ObjectRecord]:
         return {o.oid: o for o in self.objects}
 
+    @cached_property
+    def _assignments_by_subject(self) -> dict[str, tuple[AssignmentRecord, ...]]:
+        return _grouped((a.subject_id, a) for a in self.assignments)
+
     def assignments_of(self, subject_id: str) -> tuple[AssignmentRecord, ...]:
-        return tuple(a for a in self.assignments if a.subject_id == subject_id)
+        return self._assignments_by_subject.get(subject_id, ())
+
+    @cached_property
+    def org_children(self) -> dict[str, tuple[str, ...]]:
+        """ou -> its direct sub-units, in edge order."""
+        return _grouped((e.ou, e.sub_ou) for e in self.org_edges)
+
+    @cached_property
+    def org_parents(self) -> dict[str, tuple[str, ...]]:
+        """sub_ou -> the units directly above it, in edge order."""
+        return _grouped((e.sub_ou, e.ou) for e in self.org_edges)
+
+    @cached_property
+    def subjects_by_dept(self) -> dict[str, tuple[SubjectRecord, ...]]:
+        return _grouped((s.dept, s) for s in self.subjects)
 
     def table_names(self) -> tuple[str, ...]:
         return tuple(TABLE_COLUMNS)
@@ -220,6 +245,31 @@ class Dataset:
             raise UnknownTableError(f"unknown table: {name!r}")
         return TABLE_COLUMNS[name], self._tables[name]
 
+    @cached_property
+    def _indexes(self) -> dict[tuple[str, str], dict[object, list[tuple]]]:
+        return {}
+
+    def index(self, table: str, column: str) -> dict[object, list[tuple]]:
+        """Rows of a table keyed by their value in one column.
+
+        Each bucket holds its rows in table order; None is not a key, so
+        an absent value finds no rows. The index is built on the first
+        probe of (table, column) and kept with this version.
+        """
+        key = (table, column)
+        index = self._indexes.get(key)
+        if index is None:
+            columns, rows = self.table(table)
+            if column not in columns:
+                raise UnknownColumnError(f"no column {column!r} in {table!r}")
+            i = columns.index(column)
+            index = {}
+            for r in rows:
+                index.setdefault(r[i], []).append(r)
+            index.pop(None, None)
+            self._indexes[key] = index
+        return index
+
     # Mutation helpers used by the scenario runner; each returns a new version.
 
     def with_assignment(self, subject_id: str, carrier_id: str) -> "Dataset":
@@ -235,6 +285,14 @@ class Dataset:
         moved = tuple(replace(o, carrier_id=carrier_id) if o.oid in oids else o
                       for o in self.objects)
         return replace(self, objects=moved)
+
+
+def _grouped(pairs) -> dict:
+    """key -> tuple of its values, both in first-seen order."""
+    out: dict = {}
+    for key, value in pairs:
+        out.setdefault(key, []).append(value)
+    return {key: tuple(values) for key, values in out.items()}
 
 
 def _absent(value: str | None) -> str | None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .errors import UnboundContextKeyError, UnknownSubjectError
+from .timeutil import as_utc
 
 Point = tuple[float, float]
 
@@ -43,7 +44,8 @@ def open_session(user: str, location: Point | None, timestamp: datetime | None,
     """Open a session for an existing subject.
 
     Absent location/time is a wired login; such a session can evaluate
-    queries that never touch sys_context:l or sys_context:t.
+    queries that never touch sys_context:l or sys_context:t. Naive
+    datetimes are taken as UTC.
     """
     if user not in dataset.subject_by_name:
         raise UnknownSubjectError(user)
@@ -52,12 +54,14 @@ def open_session(user: str, location: Point | None, timestamp: datetime | None,
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
             raise ValueError(f"location ({lat}, {lon}) outside valid range")
         location = (float(lat), float(lon))
+    if timestamp is not None:
+        timestamp = as_utc(timestamp)
     return SessionContext(
         session_id=session_id or uuid.uuid4().hex,
         user=user,
         location=location,
         timestamp=timestamp,
-        opened_at=opened_at or timestamp or datetime.now(timezone.utc),
+        opened_at=as_utc(opened_at) if opened_at else timestamp or datetime.now(timezone.utc),
     )
 
 

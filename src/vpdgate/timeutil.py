@@ -11,7 +11,11 @@ from datetime import date, datetime, timezone
 
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
-    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    return as_utc(datetime.fromisoformat(text.replace("Z", "+00:00")))
+
+
+def as_utc(dt: datetime) -> datetime:
+    """The same instant in UTC; a naive datetime is taken as UTC."""
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)

@@ -1,9 +1,11 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
 from vpdgate import relstore
-from vpdgate.cli import main
+from vpdgate.cli import _locked_state, main
 
 DATA = str(relstore.bundled_data_dir("logistics"))
 
@@ -183,3 +185,30 @@ def test_manifest_override(capsys, tmp_path, state_file):
                      "--manifest", str(manifest),
                      "--session", session_id, "select * from object")
     assert code == 0
+
+
+def test_read_only_query_leaves_state_file_untouched(capsys, state_file):
+    _, out, _ = run(capsys, "login", "--data", DATA, "--state", state_file,
+                    "--user", "Parker")
+    session_id = out.strip()
+    path = Path(state_file)
+    before = (path.read_bytes(), path.stat().st_mtime_ns)
+    time.sleep(0.01)
+    code, _, _ = run(capsys, "query", "--data", DATA, "--state", state_file,
+                     "--session", session_id, "select * from object")
+    assert code == 0
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+
+
+def test_failed_state_write_keeps_previous_file(capsys, state_file):
+    _, out, _ = run(capsys, "login", "--data", DATA, "--state", state_file,
+                    "--user", "Parker")
+    path = Path(state_file)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        with _locked_state(path) as state:
+            state["sessions"]["broken"] = {"opened_at": object()}
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in path.parent.iterdir()) == \
+        sorted([path.name, path.name + ".lock"])
+    assert out.strip() in json.loads(before)["sessions"]

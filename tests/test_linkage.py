@@ -211,6 +211,40 @@ def test_subordinates_matches_definition(d):
                             if linkage.organization(o.name, s.name, d)}
 
 
+def _reference_supervisors(s: str, d: Dataset) -> list[str]:
+    """Per-subject ranking: downward edge distance from each other subject's dept."""
+    children = {}
+    for e in d.org_edges:
+        children.setdefault(e.ou, []).append(e.sub_ou)
+
+    def levels(ou):
+        out, seen = [], {ou}
+        current = {c for c in children.get(ou, ()) if c != ou}
+        while current:
+            out.append(set(current))
+            seen.update(current)
+            current = {c for node in current for c in children.get(node, ()) if c not in seen}
+        return out
+
+    def distance(s1, s2):
+        a, b = d.subject_by_name[s1], d.subject_by_name[s2]
+        for depth, level in enumerate(levels(b.dept), start=1):
+            if a.dept in level:
+                return depth
+        return None
+
+    ranked = [(distance(s, other.name), other.name) for other in d.subjects
+              if other.name != s and distance(s, other.name) is not None]
+    return [name for _, name in sorted(ranked)]
+
+
+@given(_org_datasets())
+@settings(max_examples=150, deadline=None)
+def test_supervisors_match_per_subject_distance_ranking(d):
+    for s in d.subjects:
+        assert linkage.supervisors(s.name, d) == _reference_supervisors(s.name, d)
+
+
 def test_manifest_waypoint_override():
     doc = {
         "subject": [{"id": "s1", "name": "Ann", "title": "Driver", "dept": "Ops"}],

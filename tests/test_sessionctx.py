@@ -70,3 +70,20 @@ def test_registry_latest_by_user(fixture_dataset):
     assert reg.latest_by_user()["Parker"].session_id == "b"
     reg.remove("b")
     assert reg.get("b") is None
+
+
+def test_naive_datetimes_are_taken_as_utc(fixture_dataset, t1_midpoint):
+    from vpdgate import engine
+    aware = parse_timestamp("2010-08-20T12:00:00Z")
+    naive = aware.replace(tzinfo=None)
+    for t in (aware, parse_timestamp("2010-09-20T00:00:00Z")):
+        by_kind = []
+        for reported in (t, t.replace(tzinfo=None)):
+            ctx = open_session("Parker", t1_midpoint, reported, fixture_dataset,
+                               opened_at=naive)
+            assert ctx.timestamp == t and ctx.opened_at == aware
+            outcome = engine.run_query(fixture_dataset, ctx, "select * from object")
+            by_kind.append((outcome.state.state, outcome.state.reason,
+                            outcome.rows.sorted_rows()))
+        assert by_kind[0] == by_kind[1]
+    assert by_kind[0][0] == "REVOKED"
