@@ -25,7 +25,7 @@ from pathlib import Path
 from . import engine, lifecycle, oracle, relstore, simharness
 from .errors import VpdGateError
 from .queryir import render_query
-from .sessionctx import SessionContext, open_session
+from .sessionctx import SessionContext, latest_by_user, open_session
 from .timeutil import format_timestamp, parse_timestamp
 
 EXIT_OK = 0
@@ -115,13 +115,6 @@ def _load_sessions(state: dict) -> dict[str, SessionContext]:
     return {sid: _session_from_dict(doc) for sid, doc in state.get("sessions", {}).items()}
 
 
-def _context_map(sessions: dict[str, SessionContext]) -> dict[str, SessionContext]:
-    out: dict[str, SessionContext] = {}
-    for ctx in sessions.values():
-        out[ctx.user] = ctx
-    return out
-
-
 def _print_rows(rows, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps({"schema": list(rows.schema),
@@ -172,18 +165,18 @@ def _resolve_session(args, d) -> tuple[SessionContext, dict[str, SessionContext]
     state_path = Path(args.state) if args.state else _default_state_path(args.data)
     with _locked_state(state_path) as state:
         sessions = _load_sessions(state)
+    by_user = latest_by_user(sessions.values())
     if getattr(args, "session", None):
         ctx = sessions.get(args.session)
         if ctx is None:
             raise VpdGateError(f"no such session: {args.session!r}")
     elif getattr(args, "subject", None):
-        by_user = _context_map(sessions)
         ctx = by_user.get(args.subject)
         if ctx is None:
             ctx = open_session(args.subject, None, None, d)
     else:
         raise VpdGateError("a session id or subject is required")
-    return ctx, _context_map(sessions)
+    return ctx, by_user
 
 
 def cmd_query(args) -> int:

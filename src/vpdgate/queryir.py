@@ -23,7 +23,8 @@ and evaluating them never recurses per branch. The evaluator evaluates
 branches that differ only in one constant as one join and streams every
 join; see evaluate. Joins read candidate rows from the Dataset's lazily
 built per-column indexes instead of scanning tables, so a request costs
-in proportion to the rows it touches; see _join.
+in proportion to the rows it touches. A joined row is one flat tuple of
+its bound rows, projected by a C-level itemgetter; see _join.
 
 Parsing and evaluation are pure; Query and RowSet values are immutable.
 """
@@ -33,7 +34,8 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import accumulate, chain
+from operator import itemgetter
 
 from .errors import (
     QuerySyntaxError,
@@ -471,22 +473,21 @@ class RowSet:
 # ---------------------------------------------------------------------------
 
 class _Scope:
-    """Column resolution over the FROM bindings of one Select."""
+    """Column resolution and joined-environment offsets (see _join) of a Select's FROM."""
 
     def __init__(self, select: Select, dataset):
         self.bindings: list[str] = []
         self.tables: dict[str, str] = {}
         self.columns: dict[str, tuple[str, ...]] = {}
-        self.rows: dict[str, tuple[tuple, ...]] = {}
         for t in select.tables:
             binding = t.binding
             if binding in self.columns:
                 raise UnknownTableError(f"duplicate table binding {binding!r}")
-            cols, rows = dataset.table(t.table)
             self.bindings.append(binding)
             self.tables[binding] = t.table
-            self.columns[binding] = cols
-            self.rows[binding] = rows
+            self.columns[binding] = dataset.table(t.table)[0]
+        *starts, self.width = accumulate((len(self.columns[b]) for b in self.bindings), initial=0)
+        self.offsets = dict(zip(self.bindings, starts))
 
     def resolve(self, ref: ColumnRef) -> tuple[str, int]:
         if ref.qualifier is not None:
@@ -589,8 +590,7 @@ def _select(q: Select, dataset, ctx, pin: tuple[int, dict] | None = None):
     not depend on the hash seed, so neither does the row order).
     """
     scope = _Scope(q, dataset)
-    targets = _projection_targets(q, scope)
-    schema = tuple(f"{b}.{col}" for b, col, _ in targets)
+    schema, flat = zip(*_projection_targets(q, scope))
 
     # Row-independent gates first: a false range predicate empties the result.
     if not all(_in_range_holds(p, dataset, ctx) for p in q.where if isinstance(p, InRange)):
@@ -617,33 +617,38 @@ def _select(q: Select, dataset, ctx, pin: tuple[int, dict] | None = None):
                                 dict.fromkeys(v for v in inner.column(inner.schema[0])
                                               if v is not None)))
 
-    extractors = [(b, i) for b, _, i in targets]
     env = _join(scope, dataset, equalities, filters, memberships)
-    return schema, (tuple(e[b][i] for b, i in extractors) for e in env)
+    if flat == tuple(range(scope.width)):
+        return schema, env  # every column of every binding, in order
+    if len(flat) == 1:
+        return schema, zip(map(itemgetter(flat[0]), env))  # zip wraps each value in a 1-tuple
+    return schema, map(itemgetter(*flat), env)
 
 
-def _projection_targets(q: Select, scope: _Scope) -> list[tuple[str, str, int]]:
-    targets: list[tuple[str, str, int]] = []
+def _projection_targets(q: Select, scope: _Scope) -> list[tuple[str, int]]:
+    """(schema name, offset in the joined environment) of each projected column."""
+    targets: list[tuple[str, int]] = []
     for item in q.projection:
         if item.column == "*":
             bindings = scope.bindings if item.qualifier is None else [item.qualifier]
             for b in bindings:
                 if b not in scope.columns:
                     raise UnknownTableError(f"{item} references {b!r}, which is not in FROM")
-                for i, col in enumerate(scope.columns[b]):
-                    targets.append((b, col, i))
+                targets += ((f"{b}.{col}", scope.offsets[b] + i)
+                            for i, col in enumerate(scope.columns[b]))
         else:
             b, i = scope.resolve(item)
-            targets.append((b, scope.columns[b][i], i))
+            targets.append((f"{b}.{scope.columns[b][i]}", scope.offsets[b] + i))
     return targets
 
 
-def _join(scope: _Scope, dataset, equalities, filters,
-          memberships) -> Iterator[dict[str, tuple]]:
+def _join(scope: _Scope, dataset, equalities, filters, memberships) -> Iterator[tuple]:
     """Incremental join over the FROM bindings, in FROM order.
 
-    A binding's candidate rows come from the dataset's per-column indexes
-    (Dataset.index), not from a scan of its table:
+    An environment is one flat tuple, the rows bound so far concatenated
+    in FROM order: a step yields `e + r`, and joins and filters read
+    `e[scope.offsets[b] + i]`. A binding's candidate rows come from the
+    dataset's per-column indexes (Dataset.index), not a table scan:
 
     * with a `col = literal/context` filter, the index bucket of its
       first such filter;
@@ -654,11 +659,11 @@ def _join(scope: _Scope, dataset, equalities, filters,
     Only a binding with none of these is scanned. Its remaining filters
     and memberships are checked per candidate row, and candidates taken
     from a filter or membership are hashed on the join column when an
-    equality links them to the bound bindings. The joined environments
-    stream through one generator per step, so no step holds them all.
+    equality links them to the bound bindings. The environments stream
+    through one generator per step, so no step holds them all.
     """
     bound: set[str] = set()
-    env: Iterator[dict[str, tuple]] = iter(({},))
+    env: Iterator[tuple] = iter(((),))
     pending_eq = list(equalities)
 
     for binding in scope.bindings:
@@ -669,10 +674,10 @@ def _join(scope: _Scope, dataset, equalities, filters,
         for eq in pending_eq:
             (b1, i1), (b2, i2) = eq
             if b1 in bound and b2 == binding:
-                join_key = ((b1, i1), i2, eq)
+                join_key = (scope.offsets[b1] + i1, i2, eq)
                 break
             if b2 in bound and b1 == binding:
-                join_key = ((b2, i2), i1, eq)
+                join_key = (scope.offsets[b2] + i2, i1, eq)
                 break
 
         table, columns = scope.tables[binding], scope.columns[binding]
@@ -684,7 +689,7 @@ def _join(scope: _Scope, dataset, equalities, filters,
             index = dataset.index(table, columns[i])
             rows = [r for v in values for r in index.get(v, ())]
         elif join_key is None:
-            rows = scope.rows[binding]
+            rows = dataset.table(table)[1]
         else:
             rows = None  # probed per environment below
         if own_filters or own_memberships:
@@ -693,7 +698,7 @@ def _join(scope: _Scope, dataset, equalities, filters,
                     and all(r[i] in values for i, values in own_memberships)]
 
         if join_key is not None:
-            (ob, oi), ni, used = join_key
+            bound_at, ni, used = join_key
             pending_eq.remove(used)
             if rows is None:
                 by_value = dataset.index(table, columns[ni])
@@ -702,36 +707,29 @@ def _join(scope: _Scope, dataset, equalities, filters,
                 for r in rows:
                     if r[ni] is not None:
                         by_value.setdefault(r[ni], []).append(r)
-            env = _probe(env, binding, by_value, ob, oi)
+            env = _probe(env, by_value, bound_at)
         else:
-            env = _cross(env, binding, rows)
+            env = _cross(env, rows)
         bound.add(binding)
 
         # Apply any remaining equalities that just became fully bound.
         for eq in list(pending_eq):
             (b1, i1), (b2, i2) = eq
             if b1 in bound and b2 in bound:
-                env = _where_equal(env, b1, i1, b2, i2)
+                env = _where_equal(env, scope.offsets[b1] + i1, scope.offsets[b2] + i2)
                 pending_eq.remove(eq)
 
     return env
 
 
-def _cross(env, binding: str, rows) -> Iterator[dict[str, tuple]]:
-    for e in env:
-        for r in rows:
-            yield {**e, binding: r}
+def _cross(env, rows) -> Iterator[tuple]:
+    return (e + r for e in env for r in rows)
 
 
-def _probe(env, binding: str, by_value: dict, ob: str, oi: int) -> Iterator[dict[str, tuple]]:
+def _probe(env, by_value: dict, at: int) -> Iterator[tuple]:
     # by_value holds no None key, so an absent join value finds no rows.
-    for e in env:
-        for r in by_value.get(e[ob][oi], ()):
-            yield {**e, binding: r}
+    return (e + r for e in env for r in by_value.get(e[at], ()))
 
 
-def _where_equal(env, b1: str, i1: int, b2: str, i2: int) -> Iterator[dict[str, tuple]]:
-    for e in env:
-        v = e[b1][i1]
-        if v is not None and v == e[b2][i2]:
-            yield e
+def _where_equal(env, at1: int, at2: int) -> Iterator[tuple]:
+    return (e for e in env if e[at1] is not None and e[at1] == e[at2])

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import threading
 import uuid
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .errors import UnboundContextKeyError, UnknownSubjectError
+from .geo import Point
 from .timeutil import as_utc
-
-Point = tuple[float, float]
 
 CONTEXT_KEYS = ("session_user", "l", "t")
 
@@ -77,6 +77,11 @@ def context_lookup(ctx: SessionContext, key: str):
     return value
 
 
+def latest_by_user(contexts: Iterable[SessionContext]) -> dict[str, SessionContext]:
+    """The last context per user in iteration order (insertion order wins)."""
+    return {ctx.user: ctx for ctx in contexts}
+
+
 class SessionRegistry:
     """Session store keyed by session id; inserts and removals serialized."""
 
@@ -96,11 +101,7 @@ class SessionRegistry:
             self._sessions.pop(session_id, None)
 
     def latest_by_user(self) -> dict[str, SessionContext]:
-        """Most recently opened context per user (insertion order wins)."""
-        out: dict[str, SessionContext] = {}
-        for ctx in self._sessions.values():
-            out[ctx.user] = ctx
-        return out
+        return latest_by_user(self._sessions.values())
 
     def __len__(self) -> int:
         return len(self._sessions)

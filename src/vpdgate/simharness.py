@@ -19,12 +19,11 @@ from datetime import datetime
 from pathlib import Path
 
 from .errors import ScenarioError
+from .geo import Point
 from .lifecycle import AccessEvent, GrantState, on_context_update
 from .relstore import Dataset, ValidationReport, Violation
 from .sessionctx import SessionContext, open_session
 from .timeutil import parse_timestamp
-
-Point = tuple[float, float]
 
 ACTIONS = ("move", "login", "query", "join", "leave", "handover")
 
@@ -213,8 +212,7 @@ def run_scenario(sc: Scenario, d: Dataset, *, supervisor_mode: str = "narrative"
             if step.subject not in dataset.subject_by_name:
                 fail(step, f"unknown subject {step.subject!r}")
             subject_id = dataset.subject_by_name[step.subject].id
-            if (subject_id, step.carrier) not in {(a.subject_id, a.carrier_id)
-                                                  for a in dataset.assignments}:
+            if all(a.carrier_id != step.carrier for a in dataset.assignments_of(subject_id)):
                 fail(step, f"{step.subject!r} is not on {step.carrier!r}")
             dataset = dataset.without_assignment(subject_id, step.carrier)
         elif step.action == "handover":

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,3 +273,37 @@ def test_corridor_km_argument_overrides_manifest(fixture_dataset):
     wide = linkage.location_range("Parker", fixture_dataset, corridor_km=2000.0)
     assert wide[0].corridor_km == 2000.0
     assert linkage.in_range(MEXICO_CITY, TS("2010-08-20T12:00:00Z"), wide[0])
+
+
+def test_workflow_chains_and_fk_graph_are_built_once_per_manifest(fixture_dataset, monkeypatch):
+    d = replace(fixture_dataset, manifest=replace(fixture_dataset.manifest))  # no caches yet
+    computed = []
+    shortest_chain = linkage._shortest_chain
+
+    def counting(target, graph):
+        computed.append(target)
+        return shortest_chain(target, graph)
+
+    monkeypatch.setattr(linkage, "_shortest_chain", counting)
+    chain = linkage.workflow("object", d)
+    graph = d.manifest.fk_graph
+    assert chain == linkage.JoinChain(
+        (ColEqCol(ColumnRef("subject", "id"), ColumnRef("assignment", "id")),
+         ColEqCol(ColumnRef("assignment", "truck"), ColumnRef("object", "truck"))),
+        ("subject", "assignment", "object"))
+    # A derived version shares the manifest, so it reuses the chain and the graph.
+    derived = d.with_assignment("s04", "t5")
+    assert linkage.workflow("object", derived) is chain
+    assert linkage.link_tables("object", "workflow", derived) == chain.tables
+    assert linkage.workflow("org_hierarchy", derived).tables == ("subject", "org_hierarchy")
+    assert derived.manifest.fk_graph is graph
+    assert computed == ["object", "org_hierarchy"]
+    for _ in range(2):
+        with pytest.raises(NoChainError):
+            linkage.workflow("carrier", d)
+    # Another manifest gets its own graph and chains.
+    wider = replace(d, manifest=replace(d.manifest, foreign_keys=d.manifest.foreign_keys
+                                        + (("assignment.truck", "carrier.id"),)))
+    assert linkage.workflow("carrier", wider).tables == ("subject", "assignment", "carrier")
+    assert wider.manifest.fk_graph is not graph
+    assert linkage.workflow("object", wider) == chain

@@ -116,3 +116,26 @@ def test_grant_revoke_balance(scenario, handover_dataset):
     for subject, state in result.final_states.items():
         expected = 1 if state.valid else 0
         assert balance.get(subject, 0) == expected, subject
+
+
+@pytest.mark.parametrize("subject, carrier", [
+    ("Dana", "ship1"),  # others are on ship1, Dana is on no carrier
+    ("Victor", "truck1"),  # Victor is on ship1 only
+])
+def test_leave_a_carrier_the_subject_is_not_on(subject, carrier, handover_dataset):
+    sc = load_scenario({"name": "bad-leave", "steps": [
+        {"at": "2010-07-02T00:00:00Z", "action": "leave", "subject": subject,
+         "carrier": carrier}]})
+    assert not validate_scenario(sc, handover_dataset).ok
+    with pytest.raises(ScenarioError, match=f"'{subject}' is not on '{carrier}'"):
+        run_scenario(sc, handover_dataset)
+
+
+def test_leave_twice_fails_the_second_time(handover_dataset):
+    leave = {"action": "leave", "subject": "Victor", "carrier": "ship1"}
+    once = [{"at": "2010-07-02T00:00:00Z", **leave}]
+    result = run_scenario(load_scenario({"name": "leave-once", "steps": once}), handover_dataset)
+    assert result.dataset.assignments_of("m02") == ()
+    twice = once + [{"at": "2010-07-03T00:00:00Z", **leave}]
+    with pytest.raises(ScenarioError, match="'Victor' is not on 'ship1'"):
+        run_scenario(load_scenario({"name": "leave-twice", "steps": twice}), handover_dataset)
