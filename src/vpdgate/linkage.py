@@ -15,6 +15,7 @@ All functions are pure over an immutable Dataset.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -84,22 +85,34 @@ def any_in_range(loc: Point, t: datetime, ranges: list[RouteRange]) -> bool:
     return any(in_range(loc, t, r) for r in ranges)
 
 
+def _fk_graph(foreign_keys: tuple[tuple[str, str], ...]) -> dict[str, list[tuple[str, str, str]]]:
+    """table -> [(neighbor, own column, neighbor column)], from declared FKs."""
+    graph: dict[str, list[tuple[str, str, str]]] = {}
+    for left, right in foreign_keys:
+        lt, lc = left.split(".", 1)
+        rt, rc = right.split(".", 1)
+        graph.setdefault(lt, []).append((rt, lc, rc))
+        graph.setdefault(rt, []).append((lt, rc, lc))
+    for neighbors in graph.values():
+        neighbors.sort()
+    return graph
+
+
 def workflow(target: str, d: Dataset) -> JoinChain:
     """Shortest declared join chain from the subject table to target.
 
     Ties are broken by lexicographic table order so the chain is
     deterministic for a given manifest. Each chain is computed once per
-    manifest and kept in SchemaManifest.join_chains.
+    target and set of declared foreign keys.
     """
-    chains = d.manifest.join_chains
-    if target not in chains:
-        chains[target] = _shortest_chain(target, d.manifest.fk_graph)
-    return chains[target]
+    return _chain(target, d.manifest.foreign_keys)
 
 
-def _shortest_chain(target: str, graph: dict[str, list[tuple[str, str, str]]]) -> JoinChain:
+@functools.cache
+def _chain(target: str, foreign_keys: tuple[tuple[str, str], ...]) -> JoinChain:
     if target == SUBJECT_TABLE:
         return JoinChain((), (SUBJECT_TABLE,))
+    graph = _fk_graph(foreign_keys)
     # BFS; the frontier is expanded in sorted order, so the first path
     # reaching the target is the lexicographically least shortest path.
     frontier: list[tuple[tuple[str, ...], tuple[ColEqCol, ...]]] = [((SUBJECT_TABLE,), ())]

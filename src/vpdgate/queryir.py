@@ -618,8 +618,6 @@ def _select(q: Select, dataset, ctx, pin: tuple[int, dict] | None = None):
                                               if v is not None)))
 
     env = _join(scope, dataset, equalities, filters, memberships)
-    if flat == tuple(range(scope.width)):
-        return schema, env  # every column of every binding, in order
     if len(flat) == 1:
         return schema, zip(map(itemgetter(flat[0]), env))  # zip wraps each value in a 1-tuple
     return schema, map(itemgetter(*flat), env)

@@ -58,25 +58,6 @@ class SchemaManifest:
     corridor_km: float = DEFAULT_CORRIDOR_KM
     waypoints: tuple[tuple[str, tuple[Point, ...]], ...] = ()
 
-    @cached_property
-    def fk_graph(self) -> dict[str, list[tuple[str, str, str]]]:
-        """table -> [(neighbor, own column, neighbor column)], sorted, over both
-        directions of every declared foreign key; built once per manifest."""
-        graph: dict[str, list[tuple[str, str, str]]] = {}
-        for left, right in self.foreign_keys:
-            lt, lc = left.split(".", 1)
-            rt, rc = right.split(".", 1)
-            graph.setdefault(lt, []).append((rt, lc, rc))
-            graph.setdefault(rt, []).append((lt, rc, lc))
-        for neighbors in graph.values():
-            neighbors.sort()
-        return graph
-
-    @cached_property
-    def join_chains(self) -> dict:
-        """linkage.workflow's join chain per target table, filled on first use."""
-        return {}
-
     def waypoints_for(self, carrier_id: str) -> tuple[Point, ...] | None:
         for cid, points in self.waypoints:
             if cid == carrier_id:

@@ -100,8 +100,5 @@ class SessionRegistry:
         with self._lock:
             self._sessions.pop(session_id, None)
 
-    def latest_by_user(self) -> dict[str, SessionContext]:
-        return latest_by_user(self._sessions.values())
-
     def __len__(self) -> int:
         return len(self._sessions)

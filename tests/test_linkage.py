@@ -275,35 +275,35 @@ def test_corridor_km_argument_overrides_manifest(fixture_dataset):
     assert linkage.in_range(MEXICO_CITY, TS("2010-08-20T12:00:00Z"), wide[0])
 
 
-def test_workflow_chains_and_fk_graph_are_built_once_per_manifest(fixture_dataset, monkeypatch):
-    d = replace(fixture_dataset, manifest=replace(fixture_dataset.manifest))  # no caches yet
-    computed = []
-    shortest_chain = linkage._shortest_chain
+def test_workflow_chain_is_computed_once_per_manifest(fixture_dataset, monkeypatch):
+    linkage._chain.cache_clear()
+    built = []
+    fk_graph = linkage._fk_graph
 
-    def counting(target, graph):
-        computed.append(target)
-        return shortest_chain(target, graph)
+    def counting(foreign_keys):
+        built.append(foreign_keys)
+        return fk_graph(foreign_keys)
 
-    monkeypatch.setattr(linkage, "_shortest_chain", counting)
+    monkeypatch.setattr(linkage, "_fk_graph", counting)
+    d = fixture_dataset
     chain = linkage.workflow("object", d)
-    graph = d.manifest.fk_graph
     assert chain == linkage.JoinChain(
         (ColEqCol(ColumnRef("subject", "id"), ColumnRef("assignment", "id")),
          ColEqCol(ColumnRef("assignment", "truck"), ColumnRef("object", "truck"))),
         ("subject", "assignment", "object"))
-    # A derived version shares the manifest, so it reuses the chain and the graph.
+    # A derived version shares the manifest, so it reuses the chain.
     derived = d.with_assignment("s04", "t5")
     assert linkage.workflow("object", derived) is chain
     assert linkage.link_tables("object", "workflow", derived) == chain.tables
     assert linkage.workflow("org_hierarchy", derived).tables == ("subject", "org_hierarchy")
-    assert derived.manifest.fk_graph is graph
-    assert computed == ["object", "org_hierarchy"]
+    assert len(built) == 2  # one graph per chain computed: object, org_hierarchy
     for _ in range(2):
         with pytest.raises(NoChainError):
             linkage.workflow("carrier", d)
-    # Another manifest gets its own graph and chains.
+    assert len(built) == 4  # a missing chain is not cached
+    # Another manifest gets its own chains.
     wider = replace(d, manifest=replace(d.manifest, foreign_keys=d.manifest.foreign_keys
                                         + (("assignment.truck", "carrier.id"),)))
     assert linkage.workflow("carrier", wider).tables == ("subject", "assignment", "carrier")
-    assert wider.manifest.fk_graph is not graph
     assert linkage.workflow("object", wider) == chain
+    assert built[4:] == [wider.manifest.foreign_keys] * 2

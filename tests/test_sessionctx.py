@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vpdgate.errors import UnboundContextKeyError, UnknownSubjectError
-from vpdgate.sessionctx import SessionRegistry, context_lookup, open_session
+from vpdgate.sessionctx import SessionRegistry, context_lookup, latest_by_user, open_session
 from vpdgate.timeutil import parse_timestamp
 
 
@@ -67,7 +67,7 @@ def test_registry_latest_by_user(fixture_dataset):
     reg.add(a)
     reg.add(b)
     assert len(reg) == 2
-    assert reg.latest_by_user()["Parker"].session_id == "b"
+    assert latest_by_user([a, b])["Parker"].session_id == "b"
     reg.remove("b")
     assert reg.get("b") is None
 

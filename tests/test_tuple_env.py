@@ -5,8 +5,7 @@ binding at its own column offset, and projection picks columns from it
 by offset. These cases are the ones where an offset or the shape of a
 projected row can go wrong: two aliases of one table, one projected
 column, a column projected twice, a qualified star next to a column, a
-star over several bindings (the environment is returned as is) and a
-UNION of such selects. Each is checked against the nested-loop
+star over several bindings and a UNION of such selects. Each is checked against the nested-loop
 reference as a bag, and every row must be a tuple as wide as the schema.
 """
 
