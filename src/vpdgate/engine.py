@@ -35,9 +35,9 @@ def run_query(d: Dataset, ctx: SessionContext, query: str | Query, *,
     vpd = build_vpd(ctx, d, query, chain_mode=chain_mode,
                     supervisor_mode=supervisor_mode, contexts=contexts)
     rows = materialize(vpd, d, ctx)
+    entailed, witness = entails(policies, vpd, d, ctx, contexts=contexts, rows=rows)
     if not state.valid:
         rows = RowSet(rows.schema, ())
-    entailed, witness = entails(policies, vpd, d, ctx, contexts=contexts)
     return QueryOutcome(state=state, vpd=vpd, rows=rows, entailed=entailed, witness=witness)
 
 

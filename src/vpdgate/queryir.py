@@ -21,7 +21,9 @@ unequal to everything, including each other.
 UNIONs of any width are walked iteratively (union_branches), so printing
 and evaluating them never recurses per branch. The evaluator evaluates
 branches that differ only in one constant as one join and streams every
-join; see evaluate. Joins read candidate rows from the Dataset's lazily
+join; see evaluate. Those groups can also be handed to evaluate_groups
+directly, as a supervisor's VPD is, so a wide UNION need not be built
+to be evaluated. Joins read candidate rows from the Dataset's lazily
 built per-column indexes instead of scanning tables, so a request costs
 in proportion to the rows it touches. A joined row is one flat tuple of
 its bound rows, projected by a C-level itemgetter; see _join.
@@ -543,7 +545,7 @@ def evaluate(q: Query, dataset, ctx=None) -> RowSet:
     they are produced.
     """
     if isinstance(q, Union):
-        return _evaluate_union(union_branches(q), dataset, ctx)
+        return evaluate_groups(group_branches(union_branches(q)).items(), dataset, ctx)
     schema, rows = _select(q, dataset, ctx)
     return RowSet(schema, tuple(rows))
 
@@ -553,9 +555,14 @@ def _pinned_slot(q: Select) -> int | None:
     return next((k for k, p in enumerate(q.where) if isinstance(p, ColEqConst)), None)
 
 
-def _evaluate_union(branches: list[Select], dataset, ctx) -> RowSet:
-    # Group branches by shape: the branch with its pinned constant set to
-    # None. A None constant matches no row, so it is dropped from the set.
+def group_branches(branches: list[Select]) -> dict[Select, list]:
+    """UNION branches grouped by shape, in first-seen order.
+
+    A branch's shape is the branch with the constant of its pinned slot
+    (_pinned_slot) set to None; its group collects those constants in
+    branch order. A branch without a slot is its own shape, with no
+    constants.
+    """
     groups: dict[Select, list] = {}
     for b in branches:
         k = _pinned_slot(b)
@@ -565,10 +572,21 @@ def _evaluate_union(branches: list[Select], dataset, ctx) -> RowSet:
         pinned = b.where[k]
         shape = replace(b, where=b.where[:k] + (ColEqConst(pinned.a, None),) + b.where[k + 1:])
         groups.setdefault(shape, []).append(pinned.value)
+    return groups
 
+
+def evaluate_groups(groups, dataset, ctx=None) -> RowSet:
+    """Set union of (shape, constants) groups, each evaluated as one join.
+
+    A shape's pinned slot is bound to the set of its constants (a None
+    constant matches no row, so it is dropped). Groups merge in order and
+    rows keep their first occurrence, so the same groups always give the
+    same rows in the same order, whether they came from group_branches or
+    were built directly (vpdrewrite.expand_supervisor).
+    """
     schema: tuple[str, ...] | None = None
     parts = []
-    for shape, constants in groups.items():
+    for shape, constants in groups:
         k = _pinned_slot(shape)
         pin = None if k is None else (k, dict.fromkeys(c for c in constants if c is not None))
         branch_schema, rows = _select(shape, dataset, ctx, pin)

@@ -10,8 +10,9 @@ Each version builds its lookup structures lazily and keeps them: the
 per-(table, column) hash indexes the query evaluator probes (Dataset.index,
 built on the first probe of that column, never at load), assignments by
 subject, and the org children, parents and subjects-by-dept maps that
-linkage walks. A mutation helper's new version starts with empty caches,
-so no cache can go stale.
+linkage walks, and a bounded memo of subordinate route/time verdicts
+(Dataset.route_verdicts). A mutation helper's new version starts with
+empty caches, so no cache can go stale.
 
 Sources are either a directory of CSV files (one per table, headers in
 lower_snake_case, plus geocode.csv mapping place names to coordinates and
@@ -176,10 +177,6 @@ class Dataset:
     manifest: SchemaManifest = field(default_factory=SchemaManifest)
 
     @cached_property
-    def subject_by_id(self) -> dict[str, SubjectRecord]:
-        return {s.id: s for s in self.subjects}
-
-    @cached_property
     def subject_by_name(self) -> dict[str, SubjectRecord]:
         return {s.name: s for s in self.subjects}
 
@@ -211,9 +208,6 @@ class Dataset:
     @cached_property
     def subjects_by_dept(self) -> dict[str, tuple[SubjectRecord, ...]]:
         return _grouped((s.dept, s) for s in self.subjects)
-
-    def table_names(self) -> tuple[str, ...]:
-        return tuple(TABLE_COLUMNS)
 
     @cached_property
     def _tables(self) -> dict[str, tuple[tuple, ...]]:
@@ -268,6 +262,13 @@ class Dataset:
             index.pop(None, None)
             self._indexes[key] = index
         return index
+
+    @cached_property
+    def route_verdicts(self) -> dict[tuple, bool]:
+        """Memo of subordinate route/time verdicts on this version, keyed by
+        (subject, location, timestamp); filled and bounded by
+        vpdrewrite.subordinate_known_invalid."""
+        return {}
 
     # Mutation helpers used by the scenario runner; each returns a new version.
 

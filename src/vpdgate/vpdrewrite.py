@@ -21,11 +21,21 @@ expanded into a UNION of their own branch plus one branch per
 subordinate, and equivalently into a closed form whose branches select
 subjects by department membership through IN-subqueries over
 org_hierarchy, one nesting level per hierarchy level.
+
+A supervisor's VPD is held as the groups its UNION evaluates as: the
+supervisor's own branches, and one gate-free shape per base branch
+pinned to every kept subordinate (queryir.evaluate_groups). Building
+them costs O(base branches + subordinates); the UNION and the closed
+form are built, with the same text, only when read (CLI, explain).
+Whether a subordinate's reported context fails the route check is
+memoized per Dataset version (subordinate_known_invalid).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import linkage
 from .errors import UnknownColumnError, UnsupportedFeatureError
@@ -45,6 +55,7 @@ from .queryir import (
     TableRef,
     Union,
     evaluate,
+    evaluate_groups,
     union_branches,
 )
 from .relstore import TABLE_COLUMNS, Dataset
@@ -57,14 +68,37 @@ ContextMap = dict  # subject name -> SessionContext
 # Types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class VpdDefinition:
-    subject: str
-    location_dependent: bool
-    time_dependent: bool
-    query: Query
-    provenance: tuple[str, ...]
-    closed_query: Query | None = None  # set by expand_supervisor
+    """A subject's VPD: its query, where its predicates came from, and
+    whether it depends on the reported location and time.
+
+    `query` and `closed_query` are each either a Query or a function that
+    builds it; a function is called on the first read and its Query kept.
+    A supervisor's VPD (expand_supervisor) also carries `groups`, the
+    (shape, constants) pairs its union evaluates as
+    (queryir.evaluate_groups), so materializing it never builds the union.
+    """
+
+    def __init__(self, subject: str, location_dependent: bool, time_dependent: bool,
+                 query: Query | Callable[[], Query], provenance: tuple[str, ...],
+                 closed_query: Query | Callable[[], Query] | None = None,
+                 groups: tuple[tuple[Select, tuple[str, ...]], ...] | None = None):
+        self.subject = subject
+        self.location_dependent = location_dependent
+        self.time_dependent = time_dependent
+        self.provenance = provenance
+        self.groups = groups
+        self._query, self._closed_query = query, closed_query
+
+    @cached_property
+    def query(self) -> Query:
+        return self._query() if callable(self._query) else self._query
+
+    @cached_property
+    def closed_query(self) -> Query | None:
+        """The supervisor's closed form (expand_supervisor); None otherwise."""
+        q = self._closed_query
+        return q() if callable(q) else q
 
 
 @dataclass(frozen=True)
@@ -241,13 +275,21 @@ def _union_of(selects: list[Select]) -> Query:
     return out
 
 
-def _instantiate(sel: Select, subject_name: str, *, strip_gates: bool) -> Select:
-    """Pin a rewritten branch to a fixed subject and optionally drop range gates."""
+def _is_identity(p: Predicate) -> bool:
+    return isinstance(p, ColEqContext) and p.key == "session_user"
+
+
+def _instantiate(sel: Select, subject_name: str | None, *, strip_gates: bool) -> Select:
+    """Pin a rewritten branch to a fixed subject and optionally drop range gates.
+
+    Pinned to None, a branch becomes its shape: the form queryir groups
+    UNION branches by (see _union_groups).
+    """
     preds = []
     for p in sel.where:
         if isinstance(p, InRange) and strip_gates:
             continue
-        if isinstance(p, ColEqContext) and p.key == "session_user":
+        if _is_identity(p):
             preds.append(ColEqConst(p.a, subject_name))
         else:
             preds.append(p)
@@ -284,19 +326,33 @@ def _dept_membership(depth: int, dept: str) -> InSubquery:
     return InSubquery(ColumnRef("subject", "dept"), inner)
 
 
+VERDICT_MEMO_SIZE = 8192  # entries per Dataset version before the memo is emptied
+
+
 def subordinate_known_invalid(s: str, d: Dataset, contexts: ContextMap | None) -> bool:
     """True when s has a reported wireless context that fails the route check.
 
     Subjects with no reported context (or a wired one) count as valid:
-    revocation is driven by known state, never by absence of it.
+    revocation is driven by known state, never by absence of it. The
+    joint route/time verdict is memoized on the Dataset version
+    (Dataset.route_verdicts) by (s, location, timestamp); the memo is
+    emptied when it reaches VERDICT_MEMO_SIZE entries.
     """
     ctx = (contexts or {}).get(s)
     if ctx is None or not ctx.wireless:
         return False
-    ranges = linkage.location_range(s, d)
-    if not ranges:  # not a moving subject; cannot be route-invalid
-        return False
-    return not linkage.any_in_range(ctx.location, ctx.timestamp, ranges)
+    memo = d.route_verdicts
+    key = (s, ctx.location, ctx.timestamp)
+    invalid = memo.get(key)
+    if invalid is None:
+        ranges = linkage.location_range(s, d)
+        # A subject with no ranges is not moving; it cannot be route-invalid.
+        invalid = bool(ranges) and not linkage.any_in_range(ctx.location, ctx.timestamp,
+                                                             ranges)
+        if len(memo) >= VERDICT_MEMO_SIZE:
+            memo.clear()
+        memo[key] = invalid  # racing threads store the same verdict
+    return invalid
 
 
 def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
@@ -310,32 +366,21 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
     department-membership subqueries over org_hierarchy and is attached
     as closed_query; both forms evaluate identically whenever no
     subordinate is known-invalid.
+
+    Neither form is built here: each is built when first read. The VPD is
+    evaluated from its groups (_union_groups), which cost O(base branches
+    + subordinates), not a Select per subordinate.
     """
     subs = sorted(linkage.subordinates(s, d),
                   key=lambda name: d.subject_by_name[name].id)
     if not subs:
         return base
 
-    base_branches = union_branches(base.query)
-    own = [_instantiate(sel, s, strip_gates=False) for sel in base_branches]
-    branches = list(own)
-    dropped = []
+    kept, dropped = [], []
     for sub in subs:
-        if supervisor_mode == "narrative" and subordinate_known_invalid(sub, d, contexts):
-            dropped.append(sub)
-            continue
-        branches.extend(_instantiate(sel, sub, strip_gates=True)
-                        for sel in base_branches)
-
-    dept = d.subject_by_name[s].dept
-    levels = linkage.sub_ou_levels(dept, d)
-    closed = list(own)
-    for depth in range(1, len(levels) + 1):
-        membership = _dept_membership(depth, dept)
-        for sel in base_branches:
-            pinned = _instantiate(sel, s, strip_gates=True)
-            closed.append(replace(pinned,
-                                  where=_swap_identity(pinned.where, s, membership)))
+        invalid = supervisor_mode == "narrative" and subordinate_known_invalid(sub, d, contexts)
+        (dropped if invalid else kept).append(sub)
+    base_branches = union_branches(base.query)
 
     provenance = base.provenance + (f"supervisor:{supervisor_mode}",
                                     f"subordinates:{','.join(subs)}")
@@ -346,9 +391,60 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
         subject=s,
         location_dependent=base.location_dependent,
         time_dependent=base.time_dependent,
-        query=_union_of(branches),
+        query=lambda: _expanded_union(base_branches, s, kept),
         provenance=provenance,
-        closed_query=_union_of(closed))
+        closed_query=lambda: _closed_union(base_branches, s, d),
+        groups=_union_groups(base_branches, s, kept))
+
+
+def _expanded_union(base_branches: list[Select], s: str, kept: list[str]) -> Query:
+    """The supervisor's own branches (gates kept), then each kept
+    subordinate's gate-free branches, pinned by name."""
+    own = [_instantiate(sel, s, strip_gates=False) for sel in base_branches]
+    return _union_of(own + [_instantiate(sel, sub, strip_gates=True)
+                            for sub in kept for sel in base_branches])
+
+
+def _closed_union(base_branches: list[Select], s: str, d: Dataset) -> Query:
+    """The own branches, then per hierarchy level the gate-free branches
+    with the identity swapped for department membership."""
+    closed = [_instantiate(sel, s, strip_gates=False) for sel in base_branches]
+    dept = d.subject_by_name[s].dept
+    for depth in range(1, len(linkage.sub_ou_levels(dept, d)) + 1):
+        membership = _dept_membership(depth, dept)
+        for sel in base_branches:
+            pinned = _instantiate(sel, s, strip_gates=True)
+            closed.append(replace(pinned,
+                                  where=_swap_identity(pinned.where, s, membership)))
+    return _union_of(closed)
+
+
+def _union_groups(base_branches: list[Select], s: str,
+                  kept: list[str]) -> tuple[tuple[Select, tuple[str, ...]], ...] | None:
+    """The groups queryir.group_branches finds in _expanded_union, without building it.
+
+    Pinning a base branch to a subject sets only the constant of its
+    identity predicate, so its shape is the branch pinned to None: one
+    shape per base branch for the supervisor (gates kept) and one for the
+    subordinates (gates dropped), equal shapes merged in first-seen order
+    (a wired supervisor's shapes are its subordinates'). None when the
+    union is one Select, which has bag semantics, or when an identity
+    predicate is not its branch's pinned slot; the VPD is then evaluated
+    from its query.
+    """
+    if len(base_branches) == 1 and not kept:
+        return None
+    for sel in base_branches:
+        pinnable = [_is_identity(p) for p in sel.where
+                    if _is_identity(p) or isinstance(p, ColEqConst)]
+        if pinnable[:1] != [True] or pinnable.count(True) != 1:
+            return None
+    groups: dict[Select, list[str]] = {}
+    for sel in base_branches:
+        groups.setdefault(_instantiate(sel, None, strip_gates=False), []).append(s)
+    for sel in base_branches if kept else ():
+        groups.setdefault(_instantiate(sel, None, strip_gates=True), []).extend(kept)
+    return tuple((shape, tuple(names)) for shape, names in groups.items())
 
 
 # ---------------------------------------------------------------------------
@@ -356,41 +452,35 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
 # ---------------------------------------------------------------------------
 
 def materialize(v: VpdDefinition, d: Dataset, ctx: SessionContext) -> RowSet:
-    """Evaluate the VPD query. Callers enforce lifecycle validity first."""
+    """Evaluate the VPD, by its groups when it has them. Callers enforce
+    lifecycle validity first."""
+    if v.groups is not None:
+        return evaluate_groups(v.groups, d, ctx)
     return evaluate(v.query, d, ctx)
-
-
-def _reachable_oids(subject_name: str, d: Dataset) -> set[str]:
-    """Objects a single subject can reach by any linkage, enumerated row by row."""
-    subj = d.subject_by_name.get(subject_name)
-    if subj is None:
-        return set()
-    out: set[str] = set()
-    carriers = {a.carrier_id for a in d.assignments_of(subj.id)}
-    for o in d.objects:
-        if o.carrier_id is not None and o.carrier_id in carriers:
-            out.add(o.oid)
-        if subj.id in (o.sender, o.receiver):
-            out.add(o.oid)
-        if subj.specialty is not None and subj.specialty == o.name:
-            out.add(o.oid)
-    return out
 
 
 def _check_head_of_ou(v: VpdDefinition, rows: RowSet, d: Dataset,
                       contexts: ContextMap | None) -> tuple | None:
     """Every object in the VPD must be reachable by the subject or a subordinate.
 
-    Abstains (no witness) when the materialized schema carries no
-    object identity column to check against.
+    An object is reachable when it rides a carrier one of them is
+    assigned to, one of them sends or receives it, or its name is one of
+    their specialties; all objects are checked in one pass. Abstains (no
+    witness) when the materialized schema carries no object identity
+    column to check against.
     """
     try:
         oids = rows.column("object.oid")
     except UnknownColumnError:
         return None
-    allowed = _reachable_oids(v.subject, d)
-    for sub in linkage.subordinates(v.subject, d):
-        allowed |= _reachable_oids(sub, d)
+    principals = [d.subject_by_name[n]
+                  for n in linkage.subordinates(v.subject, d) | {v.subject}]
+    ids = {p.id for p in principals}
+    carriers = {a.carrier_id for p in principals for a in d.assignments_of(p.id)}
+    specialties = {p.specialty for p in principals if p.specialty is not None}
+    allowed = {o.oid for o in d.objects
+               if (o.carrier_id is not None and o.carrier_id in carriers)
+               or o.sender in ids or o.receiver in ids or o.name in specialties}
     for row, oid in zip(rows.rows, oids):
         if oid not in allowed:
             return row
@@ -406,16 +496,20 @@ HEAD_OF_OU_POLICY = DomainPolicy(id="head-of-ou", kind="constraint",
 
 
 def entails(policies, v: VpdDefinition, d: Dataset, ctx: SessionContext, *,
-            contexts: ContextMap | None = None) -> tuple[bool, tuple | None]:
+            contexts: ContextMap | None = None,
+            rows: RowSet | None = None) -> tuple[bool, tuple | None]:
     """Check the materialized VPD against every constraint policy.
 
     Returns (True, None) when all constraints hold (vacuously for no
-    policies), else (False, witness_row) for the first violation.
+    policies), else (False, witness_row) for the first violation. Pass
+    `rows` when the VPD is already materialized; else it is materialized
+    here.
     """
     constraint_policies = [p for p in policies if p.kind == "constraint"]
     if not constraint_policies:
         return True, None
-    rows = materialize(v, d, ctx)
+    if rows is None:
+        rows = materialize(v, d, ctx)
     for policy in constraint_policies:
         witness = CONSTRAINT_CHECKS[policy.constraint](v, rows, d, contexts)
         if witness is not None:
