@@ -5,7 +5,7 @@ contents depend on who asks, from where, and when, and grants/revokes
 access as subjects move along planned carrier routes.
 """
 
-from .engine import QueryOutcome, explain, run_query
+from .engine import QueryOutcome, explain, privacy_residual, run_query
 from .errors import (
     IntegrityError,
     NoChainError,
@@ -22,11 +22,9 @@ from .errors import (
 from .lifecycle import (
     AccessEvent,
     GrantState,
-    accessible_rowset,
     build_vpd,
     check_validity,
     on_context_update,
-    privacy_residual,
 )
 from .linkage import (
     JoinChain,
@@ -35,6 +33,7 @@ from .linkage import (
     link,
     location_range,
     organization,
+    route_verdict,
     subordinates,
     time_range,
     workflow,

@@ -100,19 +100,17 @@ def _session_to_dict(ctx: SessionContext) -> dict:
     }
 
 
-def _session_from_dict(doc: dict) -> SessionContext:
-    location = (doc["lat"], doc["lon"]) if doc.get("lat") is not None else None
-    return SessionContext(
-        session_id=doc["session_id"],
-        user=doc["user"],
-        location=location,
-        timestamp=parse_timestamp(doc["time"]) if doc.get("time") else None,
-        opened_at=parse_timestamp(doc["opened_at"]),
-    )
-
-
-def _load_sessions(state: dict) -> dict[str, SessionContext]:
-    return {sid: _session_from_dict(doc) for sid, doc in state.get("sessions", {}).items()}
+def _session_from_dict(sid: str, doc: dict, d: relstore.Dataset) -> SessionContext:
+    """A stored session, checked as open_session checks a new one."""
+    try:
+        location = (doc["lat"], doc["lon"]) if doc.get("lat") is not None else None
+        return open_session(doc["user"], location,
+                            parse_timestamp(doc["time"]) if doc.get("time") else None, d,
+                            session_id=doc["session_id"],
+                            opened_at=parse_timestamp(doc["opened_at"]))
+    except (KeyError, TypeError, ValueError, AttributeError, VpdGateError) as exc:
+        raise VpdGateError(f"malformed session {sid!r} in the state file: "
+                           f"{type(exc).__name__}: {exc}") from None
 
 
 def _print_rows(rows, fmt: str) -> None:
@@ -164,7 +162,8 @@ def cmd_login(args) -> int:
 def _resolve_session(args, d) -> tuple[SessionContext, dict[str, SessionContext]]:
     state_path = Path(args.state) if args.state else _default_state_path(args.data)
     with _locked_state(state_path) as state:
-        sessions = _load_sessions(state)
+        sessions = {sid: _session_from_dict(sid, doc, d)
+                    for sid, doc in state.get("sessions", {}).items()}
     by_user = latest_by_user(sessions.values())
     if getattr(args, "session", None):
         ctx = sessions.get(args.session)
@@ -202,12 +201,9 @@ def cmd_query(args) -> int:
 def cmd_vpd(args) -> int:
     d = _load_data(args)
     ctx, contexts = _resolve_session(args, d)
-    state = lifecycle.check_validity(ctx.user, ctx, d, args.supervisor_mode, contexts)
-    vpd = lifecycle.build_vpd(ctx, d, None, chain_mode=args.mode,
-                              supervisor_mode=args.supervisor_mode, contexts=contexts)
-    rows = lifecycle.accessible_rowset(ctx, d, None, chain_mode=args.mode,
-                                       supervisor_mode=args.supervisor_mode,
-                                       contexts=contexts, state=state)
+    outcome = engine.run_query(d, ctx, chain_mode=args.mode,
+                               supervisor_mode=args.supervisor_mode, contexts=contexts)
+    state, vpd, rows = outcome.state, outcome.vpd, outcome.rows
     if args.format == "json":
         print(json.dumps({
             "subject": vpd.subject,

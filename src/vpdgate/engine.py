@@ -1,7 +1,8 @@
-"""One-call request pipeline: validity gate, rewrite, materialize, entail.
+"""The request pipeline: validity gate, rewrite, materialize, entail.
 
-The CLI and tests go through this module; it contains no authorization
-logic of its own, it only sequences lifecycle and vpdrewrite calls.
+run_query is the one pipeline: the CLI, the scenario runner and the
+privacy residual go through it. It contains no authorization logic of
+its own, it only sequences lifecycle and vpdrewrite calls.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 from .lifecycle import GrantState, build_vpd, check_validity
 from .queryir import (Query, RowSet, Select, _render_predicate, parse_query, render_query,
-                      union_branches)
+                      row_sort_key, union_branches)
 from .relstore import Dataset
 from .sessionctx import SessionContext
 from .vpdrewrite import ContextMap, VpdDefinition, entails, materialize
@@ -25,10 +26,10 @@ class QueryOutcome:
     witness: tuple | None
 
 
-def run_query(d: Dataset, ctx: SessionContext, query: str | Query, *,
+def run_query(d: Dataset, ctx: SessionContext, query: str | Query | None = None, *,
               chain_mode: str = "workflow", supervisor_mode: str = "narrative",
               contexts: ContextMap | None = None, policies=()) -> QueryOutcome:
-    """Decide, rewrite and (when granted) materialize one request."""
+    """Decide, rewrite and materialize one request (None: lifecycle.DEFAULT_QUERY)."""
     if isinstance(query, str):
         query = parse_query(query)
     state = check_validity(ctx.user, ctx, d, supervisor_mode, contexts)
@@ -39,6 +40,21 @@ def run_query(d: Dataset, ctx: SessionContext, query: str | Query, *,
     if not state.valid:
         rows = RowSet(rows.schema, ())
     return QueryOutcome(state=state, vpd=vpd, rows=rows, entailed=entailed, witness=witness)
+
+
+def privacy_residual(a: str, b: str, ctx_a: SessionContext, ctx_b: SessionContext,
+                     d: Dataset, *, mode_a: str = "workflow", mode_b: str = "workflow",
+                     supervisor_mode: str = "narrative",
+                     contexts: ContextMap | None = None) -> RowSet:
+    """Rows private to a relative to b: a's whole view minus b's, as sets.
+
+    An invalid VPD contributes the empty set."""
+    rows_a = run_query(d, ctx_a, chain_mode=mode_a, supervisor_mode=supervisor_mode,
+                       contexts=contexts).rows
+    rows_b = run_query(d, ctx_b, chain_mode=mode_b, supervisor_mode=supervisor_mode,
+                       contexts=contexts).rows
+    residual = set(rows_a.rows) - set(rows_b.rows)
+    return RowSet(rows_a.schema, tuple(sorted(residual, key=row_sort_key)))
 
 
 def _union_lines(q: Query) -> list[str]:

@@ -3,7 +3,9 @@
 A wireless session (reported location and time) is GRANTED exactly when
 some carrier assignment of the subject accepts the report: distance to
 the planned polyline within the corridor and the time inside
-[departure, arrival], both inclusive, checked jointly per carrier. A
+[departure, arrival], both inclusive, checked jointly per carrier. That
+decision is linkage.route_verdict, the same function the VPD's own range
+gates ask, so the rewritten query refuses what the lifecycle refuses. A
 wired session is granted; with subordinates it is a supervisor whose
 union shrinks and grows as subordinate validity changes. Two supervisor
 modes exist:
@@ -11,7 +13,8 @@ modes exist:
 * narrative (default): invalid subordinates are dropped from the
   supervisor's union, the supervisor itself stays granted;
 * strict: any moving subordinate whose known context fails the route
-  check revokes the supervisor wholesale.
+  check revokes the supervisor wholesale. No VPD text expresses this
+  revocation; only the outer gate of engine.run_query enforces it.
 
 States and events are plain values; nothing here caches a
 materialization across context or dataset changes.
@@ -27,7 +30,8 @@ from pathlib import Path
 
 from . import linkage
 from .errors import UnknownSubjectError
-from .queryir import RowSet, Select, STAR, TableRef, parse_query, row_sort_key
+from .linkage import REASON_IN_RANGE, REASON_NO_ASSIGNMENT
+from .queryir import Select, STAR, TableRef, parse_query
 from .relstore import Dataset
 from .sessionctx import SessionContext
 from .timeutil import format_timestamp, parse_timestamp
@@ -35,7 +39,6 @@ from .vpdrewrite import (
     ContextMap,
     VpdDefinition,
     expand_supervisor,
-    materialize,
     rewrite,
     subordinate_known_invalid,
 )
@@ -49,15 +52,13 @@ REVOKE = "REVOKE"
 DENY = "DENY"
 VPD_CHANGED = "VPD_CHANGED"
 
-REASON_IN_RANGE = "in-range"
-REASON_OUT_OF_ROUTE = "out-of-route"
-REASON_OUT_OF_TIME = "out-of-time"
-REASON_NO_ASSIGNMENT = "no-assignment"
 REASON_STRICT_SUBORDINATE = "strict-subordinate-invalid"
 
 SUPERVISOR_MODES = ("narrative", "strict")
 
 EVENT_LOG_VERSION = 1
+
+_WIRELESS_STATE = {REASON_IN_RANGE: GRANTED, REASON_NO_ASSIGNMENT: DENIED}
 
 DEFAULT_QUERY = Select(projection=(STAR,), tables=(TableRef("object"),))
 
@@ -88,24 +89,19 @@ def check_validity(s: str, ctx: SessionContext, d: Dataset,
                    mode: str = "narrative", contexts: ContextMap | None = None) -> GrantState:
     """Stateless validity decision for subject s under context ctx.
 
-    Wireless sessions are gated by the joint route/time check over the
-    subject's assignments (out-of-time is reported when no carrier
-    window contains the time, out-of-route otherwise). Wired sessions
-    follow the supervisor rules of the selected mode.
+    A wireless session takes the joint route/time verdict of
+    linkage.route_verdict as its reason: GRANTED when in range, DENIED
+    with no assignment, REVOKED otherwise. Wired sessions follow the
+    supervisor rules of the selected mode.
     """
     if s not in d.subject_by_name:
         raise UnknownSubjectError(s)
     since = ctx.timestamp or ctx.opened_at
 
     if ctx.wireless:
-        ranges = linkage.location_range(s, d)
-        if not ranges:
-            return GrantState(s, ctx.session_id, DENIED, since, REASON_NO_ASSIGNMENT)
-        if linkage.any_in_range(ctx.location, ctx.timestamp, ranges):
-            return GrantState(s, ctx.session_id, GRANTED, since, REASON_IN_RANGE)
-        if not any(r.t_b <= ctx.timestamp <= r.t_e for r in ranges):
-            return GrantState(s, ctx.session_id, REVOKED, since, REASON_OUT_OF_TIME)
-        return GrantState(s, ctx.session_id, REVOKED, since, REASON_OUT_OF_ROUTE)
+        reason = linkage.route_verdict(s, ctx.location, ctx.timestamp, d)
+        state = _WIRELESS_STATE.get(reason, REVOKED)
+        return GrantState(s, ctx.session_id, state, since, reason)
 
     if mode == "strict":
         for sub in sorted(linkage.subordinates(s, d)):
@@ -154,7 +150,7 @@ def on_context_update(s: str, new_ctx: SessionContext, d: Dataset,
 
 
 # ---------------------------------------------------------------------------
-# Gated materialization and privacy residual
+# VPD construction
 # ---------------------------------------------------------------------------
 
 def build_vpd(ctx: SessionContext, d: Dataset, query=None, *,
@@ -168,38 +164,6 @@ def build_vpd(ctx: SessionContext, d: Dataset, query=None, *,
         return expand_supervisor(ctx.user, base, d, contexts=contexts,
                                  supervisor_mode=supervisor_mode)
     return base
-
-
-def accessible_rowset(ctx: SessionContext, d: Dataset, query=None, *,
-                      chain_mode: str = "workflow", supervisor_mode: str = "narrative",
-                      contexts: ContextMap | None = None,
-                      state: GrantState | None = None) -> RowSet:
-    """Materialized VPD rows behind the lifecycle gate (invalid => empty)."""
-    if state is None:
-        state = check_validity(ctx.user, ctx, d, supervisor_mode, contexts)
-    v = build_vpd(ctx, d, query, chain_mode=chain_mode,
-                  supervisor_mode=supervisor_mode, contexts=contexts)
-    rows = materialize(v, d, ctx)
-    if not state.valid:
-        return RowSet(rows.schema, ())
-    return rows
-
-
-def privacy_residual(a: str, b: str, ctx_a: SessionContext, ctx_b: SessionContext,
-                     d: Dataset, *, mode_a: str = "workflow", mode_b: str = "workflow",
-                     supervisor_mode: str = "narrative",
-                     contexts: ContextMap | None = None) -> RowSet:
-    """Rows private to a relative to b: materialize(vpd(a)) minus materialize(vpd(b)).
-
-    Both sides are gated by validity, so an invalid VPD contributes the
-    empty set. Rows are compared as sets over the materialized schema.
-    """
-    rows_a = accessible_rowset(ctx_a, d, chain_mode=mode_a,
-                               supervisor_mode=supervisor_mode, contexts=contexts)
-    rows_b = accessible_rowset(ctx_b, d, chain_mode=mode_b,
-                               supervisor_mode=supervisor_mode, contexts=contexts)
-    residual = set(rows_a.rows) - set(rows_b.rows)
-    return RowSet(rows_a.schema, tuple(sorted(residual, key=row_sort_key)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Four kinds of linkage drive the access predicates:
 
 * route ranges   - the planned polyline and time window of every carrier
                    a subject is assigned to (location_range / time_range),
-                   with a configurable corridor width for "along the route";
+                   with a configurable corridor width for "along the route",
+                   and route_verdict, the one decision of a reported (l, t);
 * workflow       - the shortest declared foreign-key chain from the
                    subject table to a target table;
 * organization   - transitive subordination over the org_hierarchy DAG;
@@ -81,8 +82,40 @@ def in_range(loc: Point, t: datetime, r: RouteRange) -> bool:
     return r.t_b <= t <= r.t_e and r.distance_km(loc) <= r.corridor_km
 
 
-def any_in_range(loc: Point, t: datetime, ranges: list[RouteRange]) -> bool:
-    return any(in_range(loc, t, r) for r in ranges)
+REASON_IN_RANGE = "in-range"
+REASON_OUT_OF_ROUTE = "out-of-route"
+REASON_OUT_OF_TIME = "out-of-time"
+REASON_NO_ASSIGNMENT = "no-assignment"
+
+VERDICT_MEMO_SIZE = 8192  # entries per Dataset version before the memo is emptied
+
+
+def route_verdict(s: str, loc: Point | None, t: datetime | None, d: Dataset) -> str:
+    """Whether the report (loc, t) grants s, as a lifecycle reason; the only
+    code that decides one. "in-range" when one carrier of s has t in its
+    window and loc in its corridor (in_range); else "no-assignment",
+    "out-of-time" (no window contains t) or "out-of-route". A None key is
+    not constrained. Memoized per Dataset version (Dataset.route_verdicts),
+    emptied at VERDICT_MEMO_SIZE entries.
+    """
+    memo = d.route_verdicts
+    key = (s, loc, t)
+    verdict = memo.get(key)
+    if verdict is None:
+        ranges = location_range(s, d)
+        in_window = [r for r in ranges if t is None or r.t_b <= t <= r.t_e]
+        if not ranges:
+            verdict = REASON_NO_ASSIGNMENT
+        elif not in_window:
+            verdict = REASON_OUT_OF_TIME
+        elif loc is None or any(r.distance_km(loc) <= r.corridor_km for r in in_window):
+            verdict = REASON_IN_RANGE
+        else:
+            verdict = REASON_OUT_OF_ROUTE
+        if len(memo) >= VERDICT_MEMO_SIZE:
+            memo.clear()
+        memo[key] = verdict  # racing threads store the same verdict
+    return verdict
 
 
 def _fk_graph(foreign_keys: tuple[tuple[str, str], ...]) -> dict[str, list[tuple[str, str, str]]]:

@@ -2,9 +2,10 @@
 
 Used by tests to validate the rewrite pipeline. Everything here is
 re-derived by direct enumeration over the relstore records: route
-validity walks assignments and carriers row by row, subordination is a
-plain DFS over org edges, and chains are membership tests. None of the
-query, linkage or rewrite code paths are used. The spherical distance
+validity walks assignments and carriers row by row (_route_valid, also
+for nested_loop_evaluate's range gates), subordination is a plain DFS
+over org edges, and chains are membership tests. None of the query,
+linkage or rewrite code paths are used. The spherical distance
 primitive is shared (geo module), since two float implementations would
 disagree at the corridor boundary.
 
@@ -13,11 +14,17 @@ Deliberately O(subjects x objects x hierarchy); correctness over speed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from datetime import datetime
 
 from . import geo
-from .errors import UnknownSubjectError, VpdGateError
+from .errors import UnknownColumnError, UnknownSubjectError, UnknownTableError, VpdGateError
+from .queryir import (ColEqCol, ColEqConst, ColEqContext, InRange, InSubquery, RowSet, Select,
+                      Union)
 from .relstore import Dataset
+from .sessionctx import context_lookup
+from .timeutil import format_timestamp
 
 
 @dataclass(frozen=True)
@@ -40,13 +47,13 @@ def _carriers_of(subject_id: str, d: Dataset) -> list:
     return [c for c in d.carriers for cid in cids if c.id == cid]
 
 
-def _route_valid(name: str, ctx, d: Dataset) -> bool:
-    """Joint check: some assigned carrier accepts the reported (l, t)."""
+def _route_valid(name: str, location, timestamp, d: Dataset) -> bool:
+    """Joint check: some assigned carrier accepts the reported (l, t); None is not checked."""
     subj = _subject_record(name, d)
     for carrier in _carriers_of(subj.id, d):
-        if not (carrier.departure <= ctx.timestamp <= carrier.arrival):
+        if timestamp is not None and not (carrier.departure <= timestamp <= carrier.arrival):
             continue
-        if geo.polyline_distance_km(ctx.location, carrier.waypoints) \
+        if location is None or geo.polyline_distance_km(location, carrier.waypoints) \
                 <= d.manifest.corridor_km:
             return True
     return False
@@ -77,7 +84,7 @@ def _known_invalid(name: str, d: Dataset, contexts) -> bool:
     subj = _subject_record(name, d)
     if not _carriers_of(subj.id, d):
         return False
-    return not _route_valid(name, ctx, d)
+    return not _route_valid(name, ctx.location, ctx.timestamp, d)
 
 
 def _own_objects(name: str, mode: str, d: Dataset) -> dict[str, str]:
@@ -112,15 +119,11 @@ def brute_force_accessible(s: str, ctx, d: Dataset, mode: str = "workflow",
     Returns the permitted object-id set and a per-object trace. No query
     machinery: validity and chains are checked record by record.
     """
-    subj = _subject_record(s, d)
     wireless = ctx is not None and ctx.location is not None and ctx.timestamp is not None
 
     valid = True
     if wireless:
-        if not _carriers_of(subj.id, d):
-            valid = False
-        elif not _route_valid(s, ctx, d):
-            valid = False
+        valid = _route_valid(s, ctx.location, ctx.timestamp, d)
     elif supervisor_mode == "strict":
         valid = not any(_known_invalid(sub, d, contexts)
                         for sub in _subordinate_names(s, d))
@@ -144,15 +147,9 @@ def nested_loop_evaluate(q, d: Dataset, ctx=None):
 
     Exists so the production evaluator's join strategy can be checked
     against an implementation too simple to be wrong. Shares only the
-    AST node types with the production path.
+    AST node types with the production path; range gates are decided by
+    _route_valid, one report per subject.
     """
-    from .queryir import (ColEqCol, ColEqConst, ColEqContext, InRange, InSubquery,
-                          RowSet, Select, Union)
-    from .sessionctx import context_lookup
-    from .timeutil import format_timestamp
-    from datetime import datetime
-    import itertools
-
     if isinstance(q, Union):
         left = nested_loop_evaluate(q.left, d, ctx)
         right = nested_loop_evaluate(q.right, d, ctx)
@@ -170,7 +167,6 @@ def nested_loop_evaluate(q, d: Dataset, ctx=None):
         rows[t.binding] = data
 
     def resolve(ref):
-        from .errors import UnknownColumnError, UnknownTableError
         if ref.qualifier is not None:
             if ref.qualifier not in columns:
                 raise UnknownTableError(f"{ref.qualifier!r} not in FROM")
@@ -180,7 +176,6 @@ def nested_loop_evaluate(q, d: Dataset, ctx=None):
         hits = [(b, columns[b].index(ref.column)) for b in bindings
                 if ref.column in columns[b]]
         if len(hits) != 1:
-            from .errors import UnknownColumnError
             raise UnknownColumnError(f"{ref.column!r} resolves to {len(hits)} columns")
         return hits[0]
 
@@ -204,15 +199,6 @@ def nested_loop_evaluate(q, d: Dataset, ctx=None):
             values = {r[0] for r in inner.rows if r[0] is not None}
             b, i = resolve(pred.a)
             return env[b][i] in values
-        if isinstance(pred, InRange):
-            from . import linkage
-            if pred.key == "l":
-                loc = context_lookup(ctx, "l")
-                return any(r.distance_km(loc) <= r.corridor_km
-                           for r in linkage.location_range(pred.range.subject, d))
-            t = context_lookup(ctx, "t")
-            return any(t_b <= t <= t_e
-                       for t_b, t_e in linkage.time_range(pred.range.subject, d))
         raise VpdGateError(f"not a predicate: {pred!r}")
 
     targets = []
@@ -225,10 +211,20 @@ def nested_loop_evaluate(q, d: Dataset, ctx=None):
             b, i = resolve(item)
             targets.append((b, columns[b][i], i))
 
+    schema = tuple(f"{b}.{c}" for b, c, _ in targets)
+
+    # The range gates naming one subject are one report, checked once.
+    reported: dict[str, dict] = {}
+    for pred in q.where:
+        if isinstance(pred, InRange):
+            reported.setdefault(pred.range.subject, {})[pred.key] = context_lookup(ctx, pred.key)
+    if not all(_route_valid(s, keys.get("l"), keys.get("t"), d)
+               for s, keys in reported.items()):
+        return RowSet(schema, ())
+
     out = []
     for combo in itertools.product(*(rows[b] for b in bindings)):
         env = dict(zip(bindings, combo))
-        if all(holds(p, env) for p in q.where):
+        if all(holds(p, env) for p in q.where if not isinstance(p, InRange)):
             out.append(tuple(env[b][i] for b, _, i in targets))
-    schema = tuple(f"{b}.{c}" for b, c, _ in targets)
     return RowSet(schema, tuple(out))

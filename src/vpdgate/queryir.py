@@ -12,6 +12,10 @@ The grammar is the minimal closure of the queries the engine rewrites:
              | col IN ( query )
              | sys_context:key IN range(subject, location|time)
 
+The range gates of a Select naming one subject are decided together,
+as one report, by linkage.route_verdict, as the lifecycle decides it; a
+key with no gate is not constrained.
+
 Keywords are case-insensitive, identifiers case-sensitive. UNION has set
 semantics (duplicates eliminated). Anything outside the subset (OR,
 ordering, grouping, aggregates, non-equality comparisons, constant-only
@@ -519,18 +523,17 @@ def _context_value(ctx, key: str):
     return value
 
 
-def _in_range_holds(pred: InRange, dataset, ctx) -> bool:
-    # Local import: linkage builds route ranges from the dataset manifest
-    # and itself depends on this module's AST types.
-    from . import linkage
-
-    if pred.key == "l":
-        loc = context_lookup(ctx, "l")
-        ranges = linkage.location_range(pred.range.subject, dataset)
-        return any(r.distance_km(loc) <= r.corridor_km for r in ranges)
-    t = context_lookup(ctx, "t")
-    return any(t_b <= t <= t_e
-               for t_b, t_e in linkage.time_range(pred.range.subject, dataset))
+def _gates_hold(q: Select, dataset, ctx) -> bool:
+    """Whether ctx passes q's range gates: one route_verdict per subject."""
+    reported: dict[str, dict[str, object]] = {}
+    for p in q.where:
+        if isinstance(p, InRange):
+            reported.setdefault(p.range.subject, {})[p.key] = context_lookup(ctx, p.key)
+    if not reported:
+        return True
+    from . import linkage  # local: linkage depends on this module's AST types
+    return all(linkage.route_verdict(s, keys.get("l"), keys.get("t"), dataset)
+               == linkage.REASON_IN_RANGE for s, keys in reported.items())
 
 
 def evaluate(q: Query, dataset, ctx=None) -> RowSet:
@@ -610,8 +613,8 @@ def _select(q: Select, dataset, ctx, pin: tuple[int, dict] | None = None):
     scope = _Scope(q, dataset)
     schema, flat = zip(*_projection_targets(q, scope))
 
-    # Row-independent gates first: a false range predicate empties the result.
-    if not all(_in_range_holds(p, dataset, ctx) for p in q.where if isinstance(p, InRange)):
+    # Row-independent gates first: a refused report empties the result.
+    if not _gates_hold(q, dataset, ctx):
         return schema, iter(())
 
     # Pre-resolve predicate columns and constants.

@@ -10,7 +10,7 @@ Each version builds its lookup structures lazily and keeps them: the
 per-(table, column) hash indexes the query evaluator probes (Dataset.index,
 built on the first probe of that column, never at load), assignments by
 subject, and the org children, parents and subjects-by-dept maps that
-linkage walks, and a bounded memo of subordinate route/time verdicts
+linkage walks, and the bounded memo of linkage.route_verdict
 (Dataset.route_verdicts). A mutation helper's new version starts with
 empty caches, so no cache can go stale.
 
@@ -264,10 +264,10 @@ class Dataset:
         return index
 
     @cached_property
-    def route_verdicts(self) -> dict[tuple, bool]:
-        """Memo of subordinate route/time verdicts on this version, keyed by
-        (subject, location, timestamp); filled and bounded by
-        vpdrewrite.subordinate_known_invalid."""
+    def route_verdicts(self) -> dict[tuple, str]:
+        """Memo of linkage.route_verdict on this version: (subject, location
+        or None, timestamp or None) -> lifecycle reason; filled and bounded
+        there, for the lifecycle, supervisor expansion and range gates."""
         return {}
 
     # Mutation helpers used by the scenario runner; each returns a new version.

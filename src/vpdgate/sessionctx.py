@@ -50,10 +50,10 @@ def open_session(user: str, location: Point | None, timestamp: datetime | None,
     if user not in dataset.subject_by_name:
         raise UnknownSubjectError(user)
     if location is not None:
-        lat, lon = location
+        lat, lon = map(float, location)
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
             raise ValueError(f"location ({lat}, {lon}) outside valid range")
-        location = (float(lat), float(lon))
+        location = (lat, lon)
     if timestamp is not None:
         timestamp = as_utc(timestamp)
     return SessionContext(

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
+from .engine import run_query
 from .errors import ScenarioError
 from .geo import Point
 from .lifecycle import AccessEvent, GrantState, on_context_update
@@ -152,8 +153,6 @@ def run_scenario(sc: Scenario, d: Dataset, *, supervisor_mode: str = "narrative"
     Steps with equal timestamps keep their file order; re-ordering steps
     with distinct timestamps in the input does not change the log.
     """
-    from .lifecycle import accessible_rowset
-
     steps = sorted(sc.steps, key=lambda s: s.at)  # stable: equal stamps keep file order
     dataset = d
     positions: dict[str, Point] = {}
@@ -192,10 +191,9 @@ def run_scenario(sc: Scenario, d: Dataset, *, supervisor_mode: str = "narrative"
             if step.subject not in logged_in:
                 fail(step, f"{step.subject!r} has no open session")
             ctx = context_for(step.subject, now)
-            rows = accessible_rowset(ctx, dataset, step.text,
-                                     chain_mode=step.mode,
-                                     supervisor_mode=supervisor_mode,
-                                     contexts=context_map(now))
+            rows = run_query(dataset, ctx, step.text, chain_mode=step.mode,
+                             supervisor_mode=supervisor_mode,
+                             contexts=context_map(now)).rows
             try:
                 oids = tuple(sorted(set(rows.column("oid"))))
             except Exception:

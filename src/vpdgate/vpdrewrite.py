@@ -5,7 +5,9 @@ join chain, then prepends access predicates to the user's own condition:
 
 * wireless sessions (location and time reported) get the two range
   gates `sys_context:l IN range(user, location)` and
-  `sys_context:t IN range(user, time)`;
+  `sys_context:t IN range(user, time)`, which the evaluator decides
+  together, as the lifecycle does (linkage.route_verdict), so the VPD
+  itself returns no rows for a refused report;
 * every rewrite gets the session-identity predicate
   `subject.name = sys_context:session_user`;
 * the chain-mode predicates follow (workflow join chain, specialty/name
@@ -28,7 +30,7 @@ pinned to every kept subordinate (queryir.evaluate_groups). Building
 them costs O(base branches + subordinates); the UNION and the closed
 form are built, with the same text, only when read (CLI, explain).
 Whether a subordinate's reported context fails the route check is
-memoized per Dataset version (subordinate_known_invalid).
+linkage.route_verdict's decision (subordinate_known_invalid).
 """
 
 from __future__ import annotations
@@ -326,33 +328,19 @@ def _dept_membership(depth: int, dept: str) -> InSubquery:
     return InSubquery(ColumnRef("subject", "dept"), inner)
 
 
-VERDICT_MEMO_SIZE = 8192  # entries per Dataset version before the memo is emptied
-
-
 def subordinate_known_invalid(s: str, d: Dataset, contexts: ContextMap | None) -> bool:
     """True when s has a reported wireless context that fails the route check.
 
     Subjects with no reported context (or a wired one) count as valid:
-    revocation is driven by known state, never by absence of it. The
-    joint route/time verdict is memoized on the Dataset version
-    (Dataset.route_verdicts) by (s, location, timestamp); the memo is
-    emptied when it reaches VERDICT_MEMO_SIZE entries.
+    revocation is driven by known state, never by absence of it. A
+    subject with no assignment is not moving, so it cannot be
+    route-invalid. The verdict is linkage.route_verdict's, memoized there.
     """
     ctx = (contexts or {}).get(s)
     if ctx is None or not ctx.wireless:
         return False
-    memo = d.route_verdicts
-    key = (s, ctx.location, ctx.timestamp)
-    invalid = memo.get(key)
-    if invalid is None:
-        ranges = linkage.location_range(s, d)
-        # A subject with no ranges is not moving; it cannot be route-invalid.
-        invalid = bool(ranges) and not linkage.any_in_range(ctx.location, ctx.timestamp,
-                                                             ranges)
-        if len(memo) >= VERDICT_MEMO_SIZE:
-            memo.clear()
-        memo[key] = invalid  # racing threads store the same verdict
-    return invalid
+    return linkage.route_verdict(s, ctx.location, ctx.timestamp, d) not in (
+        linkage.REASON_IN_RANGE, linkage.REASON_NO_ASSIGNMENT)
 
 
 def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
@@ -452,8 +440,11 @@ def _union_groups(base_branches: list[Select], s: str,
 # ---------------------------------------------------------------------------
 
 def materialize(v: VpdDefinition, d: Dataset, ctx: SessionContext) -> RowSet:
-    """Evaluate the VPD, by its groups when it has them. Callers enforce
-    lifecycle validity first."""
+    """Evaluate the VPD, by its groups when it has them.
+
+    A wireless VPD's range gates refuse what the lifecycle refuses; a
+    strict supervisor revoked for a subordinate is refused only by the
+    caller's validity gate (engine.run_query)."""
     if v.groups is not None:
         return evaluate_groups(v.groups, d, ctx)
     return evaluate(v.query, d, ctx)

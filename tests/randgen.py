@@ -3,7 +3,11 @@
 Builds datasets of at most 8 subjects, 8 objects, 3 carriers and a
 3-level org hierarchy, plus a reported context per subject. Wireless
 contexts go only to subjects without subordinates (field staff); the
-managing tier logs in wired, mirroring the system's intended world.
+managing tier logs in wired, mirroring the system's intended world. A
+crossed report (position on one carrier's route, time in another's
+window and, where the windows allow, outside the first one's) takes its
+time from the subject's own other carrier when it is assigned to two,
+the case where separate location and time checks would both pass.
 Everything is driven by a seeded Random, so a sweep is reproducible.
 """
 
@@ -177,6 +181,18 @@ def _window_time(rng: random.Random, carrier):
     return carrier.departure + timedelta(seconds=rng.randint(0, int(span.total_seconds())))
 
 
+def _crossed_time(rng: random.Random, other, carrier):
+    """A time in other's window, outside carrier's window where the two allow it."""
+    second = timedelta(seconds=1)
+    parts = [(a, b) for a, b in ((other.departure, min(other.arrival, carrier.departure - second)),
+                                 (max(other.departure, carrier.arrival + second), other.arrival))
+             if a <= b]
+    if not parts:
+        return _window_time(rng, other)
+    a, b = rng.choice(parts)
+    return a + timedelta(seconds=rng.randint(0, int((b - a).total_seconds())))
+
+
 def _far_point(rng: random.Random, d: Dataset) -> tuple[float, float]:
     for candidate in rng.sample(FAR_POINT_POOL, len(FAR_POINT_POOL)):
         if all(geo.polyline_distance_km(candidate, c.waypoints) > 2 * d.manifest.corridor_km
@@ -212,12 +228,32 @@ def random_contexts(rng: random.Random, d: Dataset) -> dict[str, SessionContext]
             loc, t = _far_point(rng, d), _window_time(rng, carrier)
         elif roll < 0.93 and len(d.carriers) > 1:
             # crossed report: position near one carrier, time taken from
-            # another; only a jointly satisfying carrier may grant
-            other = rng.choice([c for c in d.carriers if c.id != carrier.id])
-            loc, t = _route_point(rng, carrier), _window_time(rng, other)
+            # another's window (the subject's own other carrier when it has
+            # one) and outside its own; only a jointly satisfying carrier
+            # may grant
+            others = [c for c in assigned if c.id != carrier.id] \
+                or [c for c in d.carriers if c.id != carrier.id]
+            other = rng.choice(others)
+            loc, t = _route_point(rng, carrier), _crossed_time(rng, other, carrier)
         else:  # on route, after every window
             loc = _route_point(rng, carrier)
             t = max(c.arrival for c in d.carriers) + timedelta(days=rng.randint(1, 5))
         out[s.name] = open_session(s.name, loc, t, d,
                                    session_id=f"t-{s.id}", opened_at=t)
+    return out
+
+
+def crossed_contexts(rng: random.Random, d: Dataset) -> dict[str, SessionContext]:
+    """A crossed report for every subject assigned to two distinct carriers:
+    on one carrier's route, at a time in the other's window."""
+    out: dict[str, SessionContext] = {}
+    for s in d.subjects:
+        assigned = list({a.carrier_id: d.carrier_by_id[a.carrier_id]
+                         for a in d.assignments_of(s.id)}.values())
+        if len(assigned) < 2:
+            continue
+        carrier, other = rng.sample(assigned, 2)
+        t = _crossed_time(rng, other, carrier)
+        out[s.name] = open_session(s.name, _route_point(rng, carrier), t, d,
+                                   session_id=f"x-{s.id}", opened_at=t)
     return out

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import MEXICO_CITY, MIAMI, VANCOUVER
 from randgen import random_contexts, random_dataset
-from vpdgate import lifecycle, linkage, relstore, simharness
+from vpdgate import engine, lifecycle, linkage, relstore, simharness
 from vpdgate.oracle import brute_force_accessible
 from vpdgate.queryir import evaluate, parse_query, render_query
 from vpdgate.sessionctx import open_session
@@ -51,7 +51,7 @@ def _timed(limit_seconds):
 def test_criterion_01_driver_workflow_vpd(fixture_dataset, parker_mobile):
     done = _timed(1.0)
     v = rewrite(parse_query("select * from object"), parker_mobile, fixture_dataset)
-    rows = lifecycle.accessible_rowset(parker_mobile, fixture_dataset)
+    rows = engine.run_query(fixture_dataset, parker_mobile).rows
     assert _oids(rows) == {"o001", "o002", "o003", "o004"}
     assert _oids(evaluate(v.query, fixture_dataset, parker_mobile)) == \
         {"o001", "o002", "o003", "o004"}
@@ -60,8 +60,7 @@ def test_criterion_01_driver_workflow_vpd(fixture_dataset, parker_mobile):
 
 def test_criterion_02_specialty_variant(fixture_dataset, parker_mobile):
     done = _timed(1.0)
-    rows = lifecycle.accessible_rowset(parker_mobile, fixture_dataset,
-                                       chain_mode="specialty")
+    rows = engine.run_query(fixture_dataset, parker_mobile, chain_mode="specialty").rows
     assert _oids(rows) == {"o001"}
     done()
 
@@ -80,7 +79,7 @@ def test_criterion_03_supervisor_union_and_closed_form(fixture_dataset, chris_wi
 def test_criterion_04_direct_linkage_vpd(fixture_dataset):
     done = _timed(1.0)
     peter = open_session("Peter", None, None, fixture_dataset)
-    rows = lifecycle.accessible_rowset(peter, fixture_dataset, chain_mode="direct")
+    rows = engine.run_query(fixture_dataset, peter, chain_mode="direct").rows
     assert _oids(rows) == {"o005"}
     done()
 
@@ -131,13 +130,9 @@ class SweepCase:
 
 
 def _pipeline_ids(ctx, d, chain_mode, supervisor_mode, contexts):
-    state = lifecycle.check_validity(ctx.user, ctx, d, supervisor_mode, contexts)
-    if not state.valid:
-        return state.valid, set()
-    rows = lifecycle.accessible_rowset(ctx, d, chain_mode=chain_mode,
-                                       supervisor_mode=supervisor_mode,
-                                       contexts=contexts, state=state)
-    return state.valid, _oids(rows)
+    outcome = engine.run_query(d, ctx, chain_mode=chain_mode,
+                               supervisor_mode=supervisor_mode, contexts=contexts)
+    return outcome.state.valid, _oids(outcome.rows)
 
 
 @pytest.fixture(scope="session")
@@ -222,8 +217,8 @@ def test_criterion_10_privacy_residual_algebra(sweep):
             a, b = subjects[0], subjects[1]
             ctx_a = case.contexts.get(a) or open_session(a, None, None, case.dataset)
             ctx_b = case.contexts.get(b) or open_session(b, None, None, case.dataset)
-            res = lifecycle.privacy_residual(a, b, ctx_a, ctx_b, case.dataset,
-                                             contexts=case.contexts)
+            res = engine.privacy_residual(a, b, ctx_a, ctx_b, case.dataset,
+                                          contexts=case.contexts)
             _, rows_a = case.results[(a, "workflow", "narrative")]
             _, rows_b = case.results[(b, "workflow", "narrative")]
             if set(res.column("object.oid")) != rows_a - rows_b:

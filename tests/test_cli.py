@@ -212,3 +212,33 @@ def test_failed_state_write_keeps_previous_file(capsys, state_file):
     assert sorted(p.name for p in path.parent.iterdir()) == \
         sorted([path.name, path.name + ".lock"])
     assert out.strip() in json.loads(before)["sessions"]
+
+
+def _tamper(capsys, state_file, **changes):
+    """Log Parker in, then overwrite or (value None) drop fields of the stored session."""
+    _, out, _ = run(capsys, "login", "--data", DATA, "--state", state_file,
+                    "--user", "Parker", "--lat", "39.4731", "--lon", "-98.0592",
+                    "--time", "2010-08-20T12:00:00Z")
+    session_id = out.strip()
+    path = Path(state_file)
+    doc = json.loads(path.read_text())
+    for key, value in changes.items():
+        if value is None:
+            del doc["sessions"][session_id][key]
+        else:
+            doc["sessions"][session_id][key] = value
+    path.write_text(json.dumps(doc))
+    return session_id
+
+
+@pytest.mark.parametrize("changes", [{"lat": "x"}, {"opened_at": None}, {"lat": 91.0},
+                                     {"time": 5}, {"user": "nobody"}],
+                         ids=["lat-not-a-number", "opened_at-missing", "lat-out-of-range",
+                              "time-not-a-string", "unknown-user"])
+def test_malformed_state_file_session_errors(capsys, state_file, changes):
+    session_id = _tamper(capsys, state_file, **changes)
+    code, _, err = run(capsys, "query", "--data", DATA, "--state", state_file,
+                       "--session", session_id, "select * from object")
+    assert code == 1
+    assert f"malformed session {session_id!r}" in err
+    assert "Traceback" not in err

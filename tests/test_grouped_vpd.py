@@ -211,7 +211,7 @@ def _known_invalid_unmemoized(s, d, contexts) -> bool:
     ranges = linkage.location_range(s, d)
     if not ranges:
         return False
-    return not linkage.any_in_range(ctx.location, ctx.timestamp, ranges)
+    return not any(linkage.in_range(ctx.location, ctx.timestamp, r) for r in ranges)
 
 
 def test_verdict_memo_follows_dataset_versions(fixture_dataset):
@@ -237,7 +237,7 @@ def test_verdict_memo_follows_dataset_versions(fixture_dataset):
 
 
 def test_verdict_memo_stays_within_its_limit(fixture_dataset, monkeypatch):
-    monkeypatch.setattr(vpdrewrite, "VERDICT_MEMO_SIZE", 3)
+    monkeypatch.setattr(linkage, "VERDICT_MEMO_SIZE", 3)
     d = fixture_dataset.with_assignment("s04", "t5")
     memo = d.route_verdicts
     for k in range(12):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import MEXICO_CITY, MIAMI, VANCOUVER
-from vpdgate import lifecycle
+from vpdgate import engine, lifecycle
 from vpdgate.errors import UnknownSubjectError
 from vpdgate.lifecycle import (
     DENIED,
@@ -11,11 +11,11 @@ from vpdgate.lifecycle import (
     REVOKED,
     check_validity,
     on_context_update,
-    privacy_residual,
     read_event_log,
     render_event_log,
     write_event_log,
 )
+from vpdgate.engine import privacy_residual
 from vpdgate.sessionctx import open_session
 from vpdgate.timeutil import parse_timestamp
 
@@ -175,10 +175,10 @@ def test_narrative_equals_strict_when_all_valid(fixture_dataset, chris_wired, t1
     on_route["Alice"] = ctx_at(fixture_dataset, "Alice", (61.2181, -149.9003),
                                "2010-08-15T00:00:00Z", sid="c-Alice")
     kwargs = dict(contexts=on_route)
-    narrative = lifecycle.accessible_rowset(chris_wired, fixture_dataset,
-                                            supervisor_mode="narrative", **kwargs)
-    strict = lifecycle.accessible_rowset(chris_wired, fixture_dataset,
-                                         supervisor_mode="strict", **kwargs)
+    narrative = engine.run_query(fixture_dataset, chris_wired,
+                                 supervisor_mode="narrative", **kwargs).rows
+    strict = engine.run_query(fixture_dataset, chris_wired,
+                              supervisor_mode="strict", **kwargs).rows
     assert narrative.as_set() == strict.as_set()
     assert sorted(set(narrative.column("object.oid"))) == \
         ["o001", "o002", "o003", "o004", "o005"]

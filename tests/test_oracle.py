@@ -54,18 +54,18 @@ def test_oracle_strict_supervisor(fixture_dataset, chris_wired):
 def test_oracle_matches_pipeline_for_moving_supervisor(fixture_dataset, t1_midpoint):
     # Charles holds both an assignment (t1) and subordinates; his wireless
     # session is gated by the route check and still unions the subordinates.
-    from vpdgate import lifecycle
+    from vpdgate import engine
 
     ctx = open_session("Charles", t1_midpoint,
                        parse_timestamp("2010-08-20T12:00:00Z"), fixture_dataset)
     ids, _ = brute_force_accessible("Charles", ctx, fixture_dataset)
     assert ids == {"o001", "o002", "o003", "o004", "o005"}
-    rows = lifecycle.accessible_rowset(ctx, fixture_dataset)
+    rows = engine.run_query(fixture_dataset, ctx).rows
     assert set(rows.column("object.oid")) == ids
 
     late = open_session("Charles", t1_midpoint,
                         parse_timestamp("2010-09-20T00:00:00Z"), fixture_dataset)
     ids, _ = brute_force_accessible("Charles", late, fixture_dataset)
     assert ids == set()
-    rows = lifecycle.accessible_rowset(late, fixture_dataset)
+    rows = engine.run_query(fixture_dataset, late).rows
     assert len(rows) == 0

@@ -1,0 +1,116 @@
+"""One route verdict: the VPD's range gates decide a report as the lifecycle does.
+
+A wireless subject's VPD carries `sys_context:l IN range(s, location)` and
+`sys_context:t IN range(s, time)`. The gates of one Select that name the
+same subject are decided together, by linkage.route_verdict, the function
+check_validity also asks, so evaluating the VPD never returns rows for a
+report the lifecycle refuses. These tests pin a crossed report (position
+on one carrier's route, time in another carrier's window), the
+lone-gate meaning, and the property over random instances, with the
+nested-loop reference deciding gates by its own carrier walk.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vpdgate import linkage
+from vpdgate.lifecycle import REVOKED, build_vpd, check_validity
+from vpdgate.oracle import nested_loop_evaluate
+from vpdgate.queryir import evaluate, parse_query
+from vpdgate.sessionctx import open_session
+from vpdgate.timeutil import parse_timestamp
+from vpdgate.vpdrewrite import materialize
+
+from conftest import MIAMI
+from randgen import crossed_contexts, random_contexts, random_dataset
+
+ANCHORAGE = (61.2181, -149.9003)  # on t5's route, ~2000 km from t1's
+SEP_1 = parse_timestamp("2010-09-01T00:00:00Z")  # in t1's window, after t5's
+
+
+@pytest.fixture()
+def parker_on_t1_and_t5(fixture_dataset):
+    return fixture_dataset.with_assignment("s04", "t5")
+
+
+def test_crossed_report_is_refused_by_the_vpd_itself(parker_on_t1_and_t5):
+    d = parker_on_t1_and_t5
+    ctx = open_session("Parker", ANCHORAGE, SEP_1, d)
+    state = check_validity("Parker", ctx, d)
+    assert (state.state, state.reason) == (REVOKED, "out-of-route")
+
+    vpd = build_vpd(ctx, d)
+    assert len(evaluate(vpd.query, d, ctx)) == 0
+    assert len(materialize(vpd, d, ctx)) == 0
+    assert len(nested_loop_evaluate(vpd.query, d, ctx)) == 0
+
+
+def test_route_verdict_reasons(parker_on_t1_and_t5, fixture_dataset):
+    d = parker_on_t1_and_t5
+    late = parse_timestamp("2010-09-20T00:00:00Z")
+    assert linkage.route_verdict("Parker", ANCHORAGE, SEP_1, d) == "out-of-route"
+    assert linkage.route_verdict("Parker", MIAMI, SEP_1, d) == "in-range"
+    assert linkage.route_verdict("Parker", MIAMI, late, d) == "out-of-time"
+    assert linkage.route_verdict("Adam", MIAMI, SEP_1, d) == "no-assignment"
+    # An absent key is not constrained.
+    assert linkage.route_verdict("Parker", ANCHORAGE, None, d) == "in-range"
+    assert linkage.route_verdict("Parker", None, SEP_1, d) == "in-range"
+    assert linkage.route_verdict("Parker", None, late, d) == "out-of-time"
+    assert linkage.route_verdict("Parker", ANCHORAGE, None, fixture_dataset) == "out-of-route"
+
+
+LONE_GATE_QUERIES = [
+    ("select object.oid from subject, assignment, object",
+     ("subject.id = assignment.id", "assignment.truck = object.truck")),
+    ("select oid from object", ()),
+]
+
+
+def _with_where(head: str, preds) -> str:
+    return head + (" where " + " and ".join(preds) if preds else "")
+
+
+@pytest.mark.parametrize("head,preds", LONE_GATE_QUERIES)
+@pytest.mark.parametrize("key,kind", [("l", "location"), ("t", "time")])
+def test_lone_gate_keeps_its_meaning(parker_on_t1_and_t5, head, preds, key, kind):
+    """A lone gate constrains only its own key: the crossed report passes it."""
+    d = parker_on_t1_and_t5
+    ctx = open_session("Parker", ANCHORAGE, SEP_1, d)
+    gate = f"sys_context:{key} IN range(Parker, {kind})"
+    gated = parse_query(_with_where(head, (gate, *preds)))
+    ungated = parse_query(_with_where(head, preds))
+    rows = evaluate(gated, d, ctx)
+    assert len(rows) > 0
+    assert rows.rows == evaluate(ungated, d, ctx).rows
+    assert Counter(nested_loop_evaluate(gated, d, ctx).rows) == Counter(rows.rows)
+
+    late = open_session("Parker", ANCHORAGE, parse_timestamp("2010-09-20T00:00:00Z"), d)
+    far = open_session("Parker", (-75.0, 10.0), SEP_1, d)
+    refused = late if key == "t" else far
+    assert len(evaluate(gated, d, refused)) == 0
+    assert len(nested_loop_evaluate(gated, d, refused)) == 0
+
+
+@given(st.integers(0, 10_000), st.integers(0, 100))
+@settings(max_examples=150, deadline=None)
+def test_refused_wireless_requests_evaluate_to_no_rows(seed, ctx_seed):
+    d = random_dataset(random.Random(seed))
+    contexts = random_contexts(random.Random(ctx_seed), d)
+    crossed = crossed_contexts(random.Random(ctx_seed), d)
+    for name, ctx in [*contexts.items(), *crossed.items()]:
+        if not ctx.wireless:
+            continue
+        valid = check_validity(name, ctx, d, contexts=contexts).valid
+        for mode in linkage.CHAIN_MODES:
+            vpd = build_vpd(ctx, d, chain_mode=mode, contexts=contexts)
+            rows = evaluate(vpd.query, d, ctx)
+            if not valid:
+                assert len(rows) == 0, (name, mode)
+                assert len(materialize(vpd, d, ctx)) == 0, (name, mode)
+            assert Counter(rows.rows) == Counter(nested_loop_evaluate(vpd.query, d, ctx).rows)
