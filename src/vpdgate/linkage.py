@@ -60,10 +60,11 @@ def _subject(name: str, d: Dataset):
         raise UnknownSubjectError(name) from None
 
 
-def location_range(s: str, d: Dataset, *, corridor_km: float | None = None) -> list[RouteRange]:
-    """One RouteRange per assignment of subject s; empty when unassigned."""
+def location_range(s: str, d: Dataset) -> list[RouteRange]:
+    """One RouteRange per assignment of subject s, as wide as the manifest's
+    corridor; empty when unassigned."""
     subj = _subject(s, d)
-    width = corridor_km if corridor_km is not None else d.manifest.corridor_km
+    width = d.manifest.corridor_km
     out = []
     for a in d.assignments_of(subj.id):
         c = d.carrier_by_id[a.carrier_id]

@@ -148,16 +148,25 @@ def nested_loop_evaluate(q, d: Dataset, ctx=None):
     Exists so the production evaluator's join strategy can be checked
     against an implementation too simple to be wrong. Shares only the
     AST node types with the production path; range gates are decided by
-    _route_valid, one report per subject.
+    _route_valid, one report per subject. A UNION's tree is walked with an
+    explicit stack, so its width is not bounded by the recursion limit.
     """
-    if isinstance(q, Union):
-        left = nested_loop_evaluate(q.left, d, ctx)
-        right = nested_loop_evaluate(q.right, d, ctx)
-        if len(left.schema) != len(right.schema):
-            raise VpdGateError("UNION branches have different arity")
-        return RowSet(left.schema, tuple(dict.fromkeys(left.rows + right.rows)))
+    if isinstance(q, Select):
+        return _nested_loop_select(q, d, ctx)
+    results, stack = [], [q]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Union):
+            stack += (node.right, node.left)
+        else:
+            results.append(_nested_loop_select(node, d, ctx))
+    schema = results[0].schema
+    if any(len(r.schema) != len(schema) for r in results):
+        raise VpdGateError("UNION branches have different arity")
+    return RowSet(schema, tuple(dict.fromkeys(row for r in results for row in r.rows)))
 
-    assert isinstance(q, Select)
+
+def _nested_loop_select(q: Select, d: Dataset, ctx) -> RowSet:
     bindings = [t.binding for t in q.tables]
     columns = {}
     rows = {}

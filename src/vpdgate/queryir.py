@@ -23,14 +23,14 @@ predicates) is rejected at parse time. Absent values (None) compare
 unequal to everything, including each other.
 
 UNIONs of any width are walked iteratively (union_branches), so printing
-and evaluating them never recurses per branch. The evaluator evaluates
-branches that differ only in one constant as one join and streams every
-join; see evaluate. Those groups can also be handed to evaluate_groups
-directly, as a supervisor's VPD is, so a wide UNION need not be built
-to be evaluated. Joins read candidate rows from the Dataset's lazily
-built per-column indexes instead of scanning tables, so a request costs
-in proportion to the rows it touches. A joined row is one flat tuple of
-its bound rows, projected by a C-level itemgetter; see _join.
+and evaluating them never recurses per branch. evaluate_groups evaluates
+(Select, pin) pairs, each as one streamed join; a pin binds one named
+predicate of its Select to a set of values, so a supervisor's VPD is
+evaluated as a few pinned joins without building its wide UNION. Joins
+read candidate rows from the Dataset's lazily built per-column indexes
+instead of scanning tables, so a request costs in proportion to the rows
+it touches. A joined row is one flat tuple of its bound rows, projected
+by a C-level itemgetter; see _join.
 
 Parsing and evaluation are pure; Query and RowSet values are immutable.
 """
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import itemgetter
 
@@ -451,9 +451,6 @@ class RowSet:
         """Deterministic canonical ordering for comparisons."""
         return tuple(sorted(self.rows, key=row_sort_key))
 
-    def distinct(self) -> "RowSet":
-        return RowSet(self.schema, tuple(dict.fromkeys(self.rows)))
-
     def as_set(self) -> frozenset:
         return frozenset(self.rows)
 
@@ -539,60 +536,30 @@ def _gates_hold(q: Select, dataset, ctx) -> bool:
 def evaluate(q: Query, dataset, ctx=None) -> RowSet:
     """Bag-semantics evaluation of a Select, set semantics for UNION.
 
-    A UNION of any width evaluates without recursion. Branches that are
-    identical except for the constant of their first `col = literal`
-    predicate (a supervisor's branches differ only in `subject.name =
-    '<pinned subject>'`) share one join, with that column bound to the set
-    of their constants: under set semantics σ[P ∧ a=c1] ∪ σ[P ∧ a=c2] =
-    σ[P ∧ a∈{c1,c2}]. Joins stream, and a UNION drops duplicate rows as
-    they are produced.
+    A UNION of any width evaluates without recursion: its branches are
+    evaluated in order, and each distinct row is kept at its first
+    occurrence (evaluate_groups with no pins). Joins stream.
     """
     if isinstance(q, Union):
-        return evaluate_groups(group_branches(union_branches(q)).items(), dataset, ctx)
+        return evaluate_groups([(b, None) for b in union_branches(q)], dataset, ctx)
     schema, rows = _select(q, dataset, ctx)
     return RowSet(schema, tuple(rows))
 
 
-def _pinned_slot(q: Select) -> int | None:
-    """Index of the first `col = literal` predicate, the one UNION branches group on."""
-    return next((k for k, p in enumerate(q.where) if isinstance(p, ColEqConst)), None)
-
-
-def group_branches(branches: list[Select]) -> dict[Select, list]:
-    """UNION branches grouped by shape, in first-seen order.
-
-    A branch's shape is the branch with the constant of its pinned slot
-    (_pinned_slot) set to None; its group collects those constants in
-    branch order. A branch without a slot is its own shape, with no
-    constants.
-    """
-    groups: dict[Select, list] = {}
-    for b in branches:
-        k = _pinned_slot(b)
-        if k is None:
-            groups.setdefault(b, [])
-            continue
-        pinned = b.where[k]
-        shape = replace(b, where=b.where[:k] + (ColEqConst(pinned.a, None),) + b.where[k + 1:])
-        groups.setdefault(shape, []).append(pinned.value)
-    return groups
-
-
 def evaluate_groups(groups, dataset, ctx=None) -> RowSet:
-    """Set union of (shape, constants) groups, each evaluated as one join.
+    """Set union of (Select, pin) pairs, each evaluated as one join, in order.
 
-    A shape's pinned slot is bound to the set of its constants (a None
-    constant matches no row, so it is dropped). Groups merge in order and
-    rows keep their first occurrence, so the same groups always give the
-    same rows in the same order, whether they came from group_branches or
-    were built directly (vpdrewrite.expand_supervisor).
+    pin is None or the (k, values) form _select takes: the Select's k-th
+    predicate is evaluated as membership of its column in values, so one
+    pinned Select stands for the UNION of its copies with that predicate
+    set to each value (σ[P ∧ a=c1] ∪ σ[P ∧ a=c2] = σ[P ∧ a∈{c1,c2}]); the
+    caller names the pinned predicate. Rows keep their first occurrence,
+    so the same pairs always give the same rows in the same order.
     """
     schema: tuple[str, ...] | None = None
     parts = []
-    for shape, constants in groups:
-        k = _pinned_slot(shape)
-        pin = None if k is None else (k, dict.fromkeys(c for c in constants if c is not None))
-        branch_schema, rows = _select(shape, dataset, ctx, pin)
+    for sel, pin in groups:
+        branch_schema, rows = _select(sel, dataset, ctx, pin)
         if schema is None:
             schema = branch_schema
         elif len(branch_schema) != len(schema):
@@ -605,10 +572,11 @@ def evaluate_groups(groups, dataset, ctx=None) -> RowSet:
 def _select(q: Select, dataset, ctx, pin: tuple[int, dict] | None = None):
     """Schema and streamed projected rows of one Select.
 
-    With pin = (k, values), q.where[k] (a `col = literal`) is evaluated
-    as membership of col in values instead. Membership values are
-    insertion-ordered dicts (O(1) `in`, and an iteration order that does
-    not depend on the hash seed, so neither does the row order).
+    With pin = (k, values), q.where[k] (an equality of a column with a
+    literal or a context key) is evaluated as membership of that column
+    in values instead. Membership values are insertion-ordered dicts
+    (O(1) `in`, and an iteration order that does not depend on the hash
+    seed, so neither does the row order).
     """
     scope = _Scope(q, dataset)
     schema, flat = zip(*_projection_targets(q, scope))

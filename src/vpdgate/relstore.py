@@ -302,13 +302,13 @@ def _absent(value: str | None) -> str | None:
     return None if value in ("", "-") else value
 
 
-def _parse_bound(text: str, *, end_of_day: bool, source: str, line: int) -> datetime:
+def _parse_bound(text: str, *, end_of_day: bool) -> datetime:
     try:
         if "T" in text or " " in text:
             return parse_timestamp(text)
         d = parse_date(text)
     except ValueError as exc:
-        raise ParseError(f"bad timestamp {text!r}: {exc}", source=source, line=line) from None
+        raise ValueError(f"bad timestamp {text!r}: {exc}") from None
     return day_end(d) if end_of_day else day_start(d)
 
 
@@ -379,10 +379,11 @@ def _from_csv_dir(root: Path) -> Dataset:
                 raise IntegrityError(
                     f"carrier {r['id']!r}: no geocode for {field_name} {name!r}")
             places.append(Place(name, *geocodes[name]))
-        departure = _parse_bound(r["departure"], end_of_day=False,
-                                 source="carrier.csv", line=line)
-        arrival = _parse_bound(r["arrival"], end_of_day=True,
-                               source="carrier.csv", line=line)
+        try:
+            departure = _parse_bound(r["departure"], end_of_day=False)
+            arrival = _parse_bound(r["arrival"], end_of_day=True)
+        except ValueError as exc:
+            raise ParseError(str(exc), source="carrier.csv", line=line) from None
         carriers.append(_build_carrier(r["id"], places[0], places[1],
                                        departure, arrival, None, manifest))
 
@@ -406,41 +407,53 @@ def _from_csv_dir(root: Path) -> Dataset:
                    objects=tuple(objects), org_edges=org_edges, manifest=manifest)
 
 
+def _doc_rows(doc: dict, table: str, build) -> tuple:
+    """build(row) for each row of doc[table], in order.
+
+    A row that build cannot read (a missing key, a value of the wrong
+    type or form) raises ParseError naming the table and the row index,
+    as the CSV path names the line.
+    """
+    out = []
+    try:
+        for r in doc.get(table, ()):
+            out.append(build(r))
+    except KeyError as exc:
+        raise ParseError(f"missing key {exc}", source=table, field=f"row {len(out)}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ParseError(str(exc), source=table, field=f"row {len(out)}") from None
+    return tuple(out)
+
+
+def _place(doc: dict) -> Place:
+    return Place(doc["name"], float(doc["lat"]), float(doc["lon"]))
+
+
 def _from_doc(doc: dict) -> Dataset:
+    if not isinstance(doc, dict):
+        raise ParseError(f"a dataset must be a JSON object, not {type(doc).__name__}")
     manifest = SchemaManifest.from_dict(doc.get("schema", {})) if doc.get("schema") \
         else SchemaManifest()
 
-    subjects = tuple(
-        SubjectRecord(id=r["id"], name=r["name"], title=r.get("title", ""),
-                      specialty=_absent(r.get("specialty")), dept=r["dept"])
-        for r in doc.get("subject", ()))
-    assignments = tuple(
-        AssignmentRecord(subject_id=r["id"], carrier_id=r["truck"])
-        for r in doc.get("assignment", ()))
-
-    carriers = []
-    for r in doc.get("carrier", ()):
-        origin = Place(r["origin"]["name"], float(r["origin"]["lat"]), float(r["origin"]["lon"]))
-        destination = Place(r["destination"]["name"], float(r["destination"]["lat"]),
-                            float(r["destination"]["lon"]))
-        waypoints = tuple((float(lat), float(lon)) for lat, lon in r.get("waypoints", ())) or None
-        carriers.append(_build_carrier(
-            r["id"], origin, destination,
-            _parse_bound(r["departure"], end_of_day=False, source="carrier", line=0),
-            _parse_bound(r["arrival"], end_of_day=True, source="carrier", line=0),
-            waypoints, manifest))
-
-    objects = tuple(
-        ObjectRecord(oid=r["oid"], name=r["name"], sender=r["sender"], receiver=r["receiver"],
-                     carrier_id=_absent(r.get("truck")), origin=r.get("origin", ""),
-                     destination=r.get("destination", ""),
-                     ship_out=parse_date(r["ship_out"]) if _absent(r.get("ship_out")) else None,
-                     receive_in=parse_date(r["receive_in"]) if _absent(r.get("receive_in")) else None)
-        for r in doc.get("object", ()))
-
-    org_edges = tuple(OrgEdge(ou=r["ou"], sub_ou=r["sub_ou"])
-                      for r in doc.get("org_hierarchy", ()))
-    return Dataset(subjects=subjects, assignments=assignments, carriers=tuple(carriers),
+    subjects = _doc_rows(doc, "subject", lambda r: SubjectRecord(
+        id=r["id"], name=r["name"], title=r.get("title", ""),
+        specialty=_absent(r.get("specialty")), dept=r["dept"]))
+    assignments = _doc_rows(doc, "assignment", lambda r: AssignmentRecord(
+        subject_id=r["id"], carrier_id=r["truck"]))
+    carriers = _doc_rows(doc, "carrier", lambda r: _build_carrier(
+        r["id"], _place(r["origin"]), _place(r["destination"]),
+        _parse_bound(r["departure"], end_of_day=False),
+        _parse_bound(r["arrival"], end_of_day=True),
+        tuple((float(lat), float(lon)) for lat, lon in r.get("waypoints", ())) or None,
+        manifest))
+    objects = _doc_rows(doc, "object", lambda r: ObjectRecord(
+        oid=r["oid"], name=r["name"], sender=r["sender"], receiver=r["receiver"],
+        carrier_id=_absent(r.get("truck")), origin=r.get("origin", ""),
+        destination=r.get("destination", ""),
+        ship_out=parse_date(r["ship_out"]) if _absent(r.get("ship_out")) else None,
+        receive_in=parse_date(r["receive_in"]) if _absent(r.get("receive_in")) else None))
+    org_edges = _doc_rows(doc, "org_hierarchy", lambda r: OrgEdge(ou=r["ou"], sub_ou=r["sub_ou"]))
+    return Dataset(subjects=subjects, assignments=assignments, carriers=carriers,
                    objects=objects, org_edges=org_edges, manifest=manifest)
 
 

@@ -24,11 +24,13 @@ subordinate, and equivalently into a closed form whose branches select
 subjects by department membership through IN-subqueries over
 org_hierarchy, one nesting level per hierarchy level.
 
-A supervisor's VPD is held as the groups its UNION evaluates as: the
-supervisor's own branches, and one gate-free shape per base branch
-pinned to every kept subordinate (queryir.evaluate_groups). Building
-them costs O(base branches + subordinates); the UNION and the closed
-form are built, with the same text, only when read (CLI, explain).
+A supervisor's VPD is held as the (Select, pin) pairs its UNION
+evaluates as (queryir.evaluate_groups): each rewritten base branch
+pinned to the supervisor, and the same branch without its range gates
+pinned to every kept subordinate. The pin is the slot of the
+session-identity predicate the rewrite injected itself. Building them
+costs O(base branches + subordinates); the UNION and the closed form
+are built, with the same text, only when read (CLI, explain).
 Whether a subordinate's reported context fails the route check is
 linkage.route_verdict's decision (subordinate_known_invalid).
 """
@@ -76,15 +78,15 @@ class VpdDefinition:
 
     `query` and `closed_query` are each either a Query or a function that
     builds it; a function is called on the first read and its Query kept.
-    A supervisor's VPD (expand_supervisor) also carries `groups`, the
-    (shape, constants) pairs its union evaluates as
+    A supervisor's VPD of more than one branch (expand_supervisor) also
+    carries `groups`, the (Select, pin) pairs its union evaluates as
     (queryir.evaluate_groups), so materializing it never builds the union.
     """
 
     def __init__(self, subject: str, location_dependent: bool, time_dependent: bool,
                  query: Query | Callable[[], Query], provenance: tuple[str, ...],
                  closed_query: Query | Callable[[], Query] | None = None,
-                 groups: tuple[tuple[Select, tuple[str, ...]], ...] | None = None):
+                 groups: tuple[tuple[Select, tuple[int, dict] | None], ...] | None = None):
         self.subject = subject
         self.location_dependent = location_dependent
         self.time_dependent = time_dependent
@@ -207,7 +209,7 @@ def _scoped_projection(q: Select, aliases: dict[str, str]) -> tuple[ColumnRef, .
 
 
 def rewrite(q: Query, ctx: SessionContext, d: Dataset,
-            policies: tuple[DomainPolicy, ...] = (), mode: str = "workflow") -> VpdDefinition:
+            mode: str = "workflow") -> VpdDefinition:
     """Rewrite a user query into the requesting subject's VPD definition.
 
     Wireless sessions get range gates; wired sessions get the plain
@@ -215,7 +217,7 @@ def rewrite(q: Query, ctx: SessionContext, d: Dataset,
     table (workflow chain, specialty match, or direct sender/receiver).
     """
     if isinstance(q, Union):
-        parts = [rewrite(b, ctx, d, policies, mode) for b in union_branches(q)]
+        parts = [rewrite(b, ctx, d, mode) for b in union_branches(q)]
         provenance = parts[0].provenance
         for part in parts[1:]:
             provenance += part.provenance + ("union-request",)
@@ -281,37 +283,17 @@ def _is_identity(p: Predicate) -> bool:
     return isinstance(p, ColEqContext) and p.key == "session_user"
 
 
-def _instantiate(sel: Select, subject_name: str | None, *, strip_gates: bool) -> Select:
-    """Pin a rewritten branch to a fixed subject and optionally drop range gates.
-
-    Pinned to None, a branch becomes its shape: the form queryir groups
-    UNION branches by (see _union_groups).
-    """
-    preds = []
-    for p in sel.where:
-        if isinstance(p, InRange) and strip_gates:
-            continue
-        if _is_identity(p):
-            preds.append(ColEqConst(p.a, subject_name))
-        else:
-            preds.append(p)
-    return replace(sel, where=tuple(preds))
+def _ungated(preds: tuple[Predicate, ...]) -> tuple[Predicate, ...]:
+    """The predicates without range gates: a subordinate's branch is not
+    gated by its supervisor's report."""
+    return tuple(p for p in preds if not isinstance(p, InRange))
 
 
-def _swap_identity(preds: tuple[Predicate, ...], subject_name: str,
-                   replacement: Predicate) -> tuple[Predicate, ...]:
-    """Replace the injected subject-identity predicate (the first
-    subject.name constant) with a different selection predicate."""
-    out = []
-    swapped = False
-    for p in preds:
-        if (not swapped and isinstance(p, ColEqConst) and p.value == subject_name
-                and p.a == ColumnRef(linkage.SUBJECT_TABLE, "name")):
-            out.append(replacement)
-            swapped = True
-        else:
-            out.append(p)
-    return tuple(out)
+def _instantiate(sel: Select, subject_name: str, *, strip_gates: bool) -> Select:
+    """Pin a rewritten branch to a fixed subject and optionally drop range gates."""
+    preds = _ungated(sel.where) if strip_gates else sel.where
+    return replace(sel, where=tuple(ColEqConst(p.a, subject_name) if _is_identity(p) else p
+                                    for p in preds))
 
 
 def _dept_membership(depth: int, dept: str) -> InSubquery:
@@ -369,6 +351,9 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
         invalid = supervisor_mode == "narrative" and subordinate_known_invalid(sub, d, contexts)
         (dropped if invalid else kept).append(sub)
     base_branches = union_branches(base.query)
+    # rewrite puts linkage.link's session-identity predicate first in each
+    # branch, after the two range gates of a wireless session.
+    slot = 2 if base.location_dependent else 0
 
     provenance = base.provenance + (f"supervisor:{supervisor_mode}",
                                     f"subordinates:{','.join(subs)}")
@@ -382,7 +367,7 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
         query=lambda: _expanded_union(base_branches, s, kept),
         provenance=provenance,
         closed_query=lambda: _closed_union(base_branches, s, d),
-        groups=_union_groups(base_branches, s, kept))
+        groups=_union_groups(base_branches, slot, s, kept))
 
 
 def _expanded_union(base_branches: list[Select], s: str, kept: list[str]) -> Query:
@@ -395,44 +380,54 @@ def _expanded_union(base_branches: list[Select], s: str, kept: list[str]) -> Que
 
 def _closed_union(base_branches: list[Select], s: str, d: Dataset) -> Query:
     """The own branches, then per hierarchy level the gate-free branches
-    with the identity swapped for department membership."""
+    with the identity slot (first, once ungated) swapped for department
+    membership."""
     closed = [_instantiate(sel, s, strip_gates=False) for sel in base_branches]
     dept = d.subject_by_name[s].dept
     for depth in range(1, len(linkage.sub_ou_levels(dept, d)) + 1):
         membership = _dept_membership(depth, dept)
         for sel in base_branches:
             pinned = _instantiate(sel, s, strip_gates=True)
-            closed.append(replace(pinned,
-                                  where=_swap_identity(pinned.where, s, membership)))
+            closed.append(replace(pinned, where=(membership,) + pinned.where[1:]))
     return _union_of(closed)
 
 
-def _union_groups(base_branches: list[Select], s: str,
-                  kept: list[str]) -> tuple[tuple[Select, tuple[str, ...]], ...] | None:
-    """The groups queryir.group_branches finds in _expanded_union, without building it.
+def _union_groups(base_branches: list[Select], slot: int, s: str,
+                  kept: list[str]) -> tuple[tuple[Select, tuple[int, dict] | None], ...] | None:
+    """The (Select, pin) pairs that evaluate as _expanded_union, without building it.
 
-    Pinning a base branch to a subject sets only the constant of its
-    identity predicate, so its shape is the branch pinned to None: one
-    shape per base branch for the supervisor (gates kept) and one for the
-    subordinates (gates dropped), equal shapes merged in first-seen order
-    (a wired supervisor's shapes are its subordinates'). None when the
-    union is one Select, which has bag semantics, or when an identity
-    predicate is not its branch's pinned slot; the VPD is then evaluated
-    from its query.
+    A branch pinned to a subject differs from its base branch only at the
+    identity slot, `slot` in the base branch and first once ungated. So
+    each base branch is one Select pinned there to the supervisor and one
+    ungated Select pinned to every kept subordinate; equal Selects merge
+    in first-seen order (a wired supervisor's own Selects are its
+    subordinates'). A branch whose user condition names
+    sys_context:session_user again is pinned at two predicates, so it
+    stays one fully pinned Select per name, in the union's branch order.
+    None when the union is one Select, which has bag semantics.
     """
     if len(base_branches) == 1 and not kept:
         return None
-    for sel in base_branches:
-        pinnable = [_is_identity(p) for p in sel.where
-                    if _is_identity(p) or isinstance(p, ColEqConst)]
-        if pinnable[:1] != [True] or pinnable.count(True) != 1:
-            return None
-    groups: dict[Select, list[str]] = {}
-    for sel in base_branches:
-        groups.setdefault(_instantiate(sel, None, strip_gates=False), []).append(s)
-    for sel in base_branches if kept else ():
-        groups.setdefault(_instantiate(sel, None, strip_gates=True), []).extend(kept)
-    return tuple((shape, tuple(names)) for shape, names in groups.items())
+    groups: dict[Select, tuple[int, dict] | None] = {}
+
+    def pin(sel: Select, k: int, names) -> None:
+        groups.setdefault(sel, (k, {}))[1].update(dict.fromkeys(names))
+
+    twice = [any(map(_is_identity, sel.where[slot + 1:])) for sel in base_branches]
+    for sel, pinned_twice in zip(base_branches, twice):
+        if pinned_twice:
+            groups.setdefault(_instantiate(sel, s, strip_gates=False), None)
+        else:
+            pin(sel, slot, (s,))
+    # Subordinate by subordinate, as the union lists them; a pinnable
+    # branch takes every kept name where the first one appears.
+    for n, sub in enumerate(kept if any(twice) else kept[:1]):
+        for sel, pinned_twice in zip(base_branches, twice):
+            if pinned_twice:
+                groups.setdefault(_instantiate(sel, sub, strip_gates=True), None)
+            elif n == 0:
+                pin(replace(sel, where=_ungated(sel.where)), 0, kept)
+    return tuple(groups.items())
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,14 @@ def test_missing_data_dir_errors(capsys, monkeypatch):
     assert code == 1 and "no data directory" in captured.err
 
 
+def test_malformed_json_dataset_errors(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"subject": [{"id": "s1"}]}))
+    code, _, err = run(capsys, "load", "--data", str(bad))
+    assert code == 1
+    assert err.splitlines() == ["error: subject (row 0): missing key 'name'"]
+
+
 def test_unknown_session_errors(capsys, state_file):
     code, _, err = run(capsys, "query", "--data", DATA, "--state", state_file,
                        "--session", "nope", "select * from object")

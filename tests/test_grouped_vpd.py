@@ -1,11 +1,12 @@
 """Grouped supervisor VPDs, their lazily built text, and the subordinate verdict memo.
 
-A supervisor's VPD is evaluated as its groups (one join per branch shape)
-without building a Select per subordinate; the UNION text is built only
-when read. These tests pin the text to goldens, check the grouped rows
-against the built union and the nested-loop reference, check that the
-verdict memo follows Dataset versions, and that the head-of-OU check and
-run_query's single materialization agree with the per-subject originals.
+A supervisor's VPD is evaluated as its groups, (Select, pin) pairs with
+one join each, without building a Select per subordinate; the UNION text
+is built only when read. These tests pin the text to goldens, check the
+grouped rows against the built union and the nested-loop reference,
+check that the verdict memo follows Dataset versions, and that the
+head-of-OU check and run_query's single materialization agree with the
+per-subject originals.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ QUERIES = (
     "select object.name from object",  # names repeat: bag and set results differ
     "select * from object union select * from object",  # equal shapes merge
     "select object.name from object union select object.oid from object",
-    # A second session-identity predicate: no grouped form, the built union is evaluated.
+    # A second session-identity predicate: one fully pinned Select per name.
     "select object.* from object, subject where subject.name = sys_context:session_user",
 )
 
@@ -114,10 +115,36 @@ def test_grouped_materialize_equals_built_union_and_oracle(case):
     rows = materialize(vpd, d, ctx)
     built = evaluate(vpd.query, d, ctx)
     assert rows.schema == built.schema
-    assert rows.rows == built.rows
+    if len(union_branches(rewrite(parse_query(text), ctx, d, mode=chain).query)) == 1:
+        assert rows.rows == built.rows
+    else:  # the built union lists its branches subordinate by subordinate
+        assert Counter(rows.rows) == Counter(built.rows)
+        assert len(set(rows.rows)) == len(rows.rows)
     assert Counter(rows.rows) == Counter(oracle.nested_loop_evaluate(vpd.query, d, ctx).rows)
-    if "session_user" not in text and len(union_branches(vpd.query)) > 1:
+    if len(union_branches(vpd.query)) > 1:
         assert vpd.groups is not None
+
+
+def test_session_user_request_is_materialized_without_the_union(fixture_dataset, monkeypatch):
+    text = "select object.* from object, subject where subject.name = sys_context:session_user"
+    d = fixture_dataset.with_assignment("s06", "t1")  # Chris rides t1 himself
+    sessions = (open_session("Chris", None, None, d),
+                open_session("Chris", d.carrier_by_id["t1"].waypoints[0], AUG_20, d))
+
+    def no_union(*args, **kwargs):
+        raise AssertionError("the union was built")
+
+    monkeypatch.setattr(vpdrewrite, "_expanded_union", no_union)
+    cases = [(ctx, chain, build_vpd(ctx, d, text, chain_mode=chain))
+             for ctx in sessions for chain in linkage.CHAIN_MODES]
+    materialized = [materialize(vpd, d, ctx) for ctx, _, vpd in cases]
+    monkeypatch.undo()
+
+    assert all(rows.rows for (_, chain, _), rows in zip(cases, materialized)
+               if chain != "direct")  # the fixture's staff send and receive nothing
+    for (ctx, chain, vpd), rows in zip(cases, materialized):
+        assert vpd.groups is not None, chain
+        assert Counter(rows.rows) == Counter(oracle.nested_loop_evaluate(vpd.query, d, ctx).rows)
 
 
 def test_grouped_form_merges_as_the_built_union(fixture_dataset, chris_wired):
@@ -125,11 +152,12 @@ def test_grouped_form_merges_as_the_built_union(fixture_dataset, chris_wired):
     base = rewrite(parse_query("select * from object union select * from object"),
                    chris_wired, d, mode="direct")
     v = expand_supervisor("Chris", base, d, contexts=_parker_off(d))
-    shapes = [shape for shape, _ in v.groups]
     assert len(union_branches(v.query)) == 4 * 3  # 4 base branches, Chris, Alice, Bob
-    assert len(shapes) == len(set(shapes)) == 2  # sender and receiver shapes
-    assert [dict.fromkeys(names) for _, names in v.groups] == \
-        [dict.fromkeys(["Chris", "Alice", "Bob"])] * 2
+    # A wired supervisor's own branches are its subordinates' shapes: the
+    # sender and receiver branches as rewritten, each pinned at the
+    # session-identity slot to every name.
+    assert [sel for sel, _ in v.groups] == union_branches(base.query)[:2]
+    assert [pin for _, pin in v.groups] == [(0, dict.fromkeys(["Chris", "Alice", "Bob"]))] * 2
 
 
 def test_supervisor_with_every_subordinate_dropped_keeps_bag_semantics(fixture_dataset):
@@ -162,7 +190,7 @@ def test_root_run_query_builds_no_select_per_subordinate(monkeypatch):
     real_instantiate = vpdrewrite._instantiate
 
     def own_only(sel, name, *, strip_gates):
-        if name not in (None, "Boss"):
+        if name != "Boss":
             raise AssertionError(f"a branch was built for {name}")
         return real_instantiate(sel, name, strip_gates=strip_gates)
 
@@ -177,7 +205,12 @@ def test_root_run_query_builds_no_select_per_subordinate(monkeypatch):
         assert outcome.state.valid and len(outcome.rows) > 0
         base = rewrite(parse_query(Q), ctx, d, mode=chain)
         assert render_query(outcome.vpd.query) == _expected_union_text(base, d, "Boss")
-        assert outcome.rows.rows == evaluate(outcome.vpd.query, d, ctx).rows
+        built = evaluate(outcome.vpd.query, d, ctx).rows
+        if chain == "workflow":  # one base branch
+            assert outcome.rows.rows == built
+        else:  # sender and receiver: the built union lists them subordinate by subordinate
+            assert Counter(outcome.rows.rows) == Counter(built)
+            assert len(set(outcome.rows.rows)) == len(outcome.rows.rows)
 
     trace = engine.explain(d, ctx, Q)
     expansion = trace.split("\nexpansion:\n", 1)[1].split("\nprovenance:", 1)[0]

@@ -270,7 +270,9 @@ def test_manifest_waypoint_override():
 
 
 def test_corridor_km_argument_overrides_manifest(fixture_dataset):
-    wide = linkage.location_range("Parker", fixture_dataset, corridor_km=2000.0)
+    # The CLI's --corridor-km overrides the manifest, the one source of the width.
+    manifest = replace(fixture_dataset.manifest, corridor_km=2000.0)
+    wide = linkage.location_range("Parker", replace(fixture_dataset, manifest=manifest))
     assert wide[0].corridor_km == 2000.0
     assert linkage.in_range(MEXICO_CITY, TS("2010-08-20T12:00:00Z"), wide[0])
 

@@ -1,4 +1,5 @@
-from vpdgate.oracle import brute_force_accessible
+from vpdgate.oracle import brute_force_accessible, nested_loop_evaluate
+from vpdgate.queryir import ColEqConst, ColumnRef, Select, TableRef, Union, evaluate
 from vpdgate.sessionctx import open_session
 from vpdgate.timeutil import parse_timestamp
 
@@ -69,3 +70,17 @@ def test_oracle_matches_pipeline_for_moving_supervisor(fixture_dataset, t1_midpo
     assert ids == set()
     rows = engine.run_query(fixture_dataset, late).rows
     assert len(rows) == 0
+
+
+def test_nested_loop_evaluates_a_union_wider_than_the_recursion_limit(fixture_dataset):
+    d = fixture_dataset
+    oid, name = ColumnRef("object", "oid"), ColumnRef("object", "name")
+    branches = [Select(projection=(oid,), tables=(TableRef("object"),),
+                       where=(ColEqConst(name, o.name),))
+                for _ in range(250) for o in d.objects]
+    q = branches[0]
+    for b in branches[1:]:  # left-deep, as the parser builds it: 1500 branches
+        q = Union(q, b)
+    rows = nested_loop_evaluate(q, d)
+    assert rows.rows == tuple((o.oid,) for o in d.objects)
+    assert rows == evaluate(q, d)

@@ -151,3 +151,39 @@ def test_waypoints_must_span_origin_to_destination():
     }
     with pytest.raises(IntegrityError, match="first waypoint"):
         load_dataset(doc)
+
+
+def _carrier(**changes) -> dict:
+    row = {"id": "t1", "origin": {"name": "O", "lat": 0.0, "lon": 0.0},
+           "destination": {"name": "D", "lat": 1.0, "lon": 1.0},
+           "departure": "2010-01-01", "arrival": "2010-01-05"}
+    return {**row, **changes}
+
+
+GOLD = {"oid": "o1", "name": "Gold", "sender": "s1", "receiver": "s2"}
+
+
+@pytest.mark.parametrize("table, rows, message", [
+    ("subject", [{"id": "s1", "name": "A", "dept": "X"}, {"id": "s2", "dept": "X"}],
+     "subject (row 1): missing key 'name'"),
+    ("carrier", [_carrier(origin={"name": "O", "lat": "north", "lon": 0.0})],
+     "carrier (row 0): could not convert string to float: 'north'"),
+    ("object", [GOLD, {**GOLD, "oid": "o2", "ship_out": "2010-13-45"}],
+     "object (row 1): "),  # the rest is date.fromisoformat's, which varies by version
+    ("carrier", [_carrier(), _carrier(id="t2", departure="soon")],
+     "carrier (row 1): bad timestamp 'soon'"),
+    ("carrier", [_carrier(destination="Oslo")], "carrier (row 0): string indices"),
+], ids=["missing-key", "non-numeric-coordinate", "bad-date", "bad-timestamp",
+        "non-object-origin"])
+def test_malformed_json_row_is_parse_error_naming_table_and_row(table, rows, message):
+    with pytest.raises(ParseError) as err:
+        load_dataset({table: rows})
+    assert str(err.value).startswith(message)
+    assert err.value.source == table
+
+
+def test_json_dataset_must_be_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    with pytest.raises(ParseError, match="must be a JSON object"):
+        load_dataset(path)

@@ -1,10 +1,10 @@
-"""UNION evaluation: wide supervisor unions, branch grouping, bag/set semantics.
+"""UNION evaluation: wide supervisor unions, explicit pins, bag/set semantics.
 
-A supervisor's VPD is a UNION with one branch per subordinate. The
-evaluator groups branches that differ only in their pinned constant into
-one join; these tests check that grouping against per-branch evaluation
-and the nested-loop reference, and that a union far wider than Python's
-recursion limit evaluates, prints and explains.
+A supervisor's VPD is a UNION with one branch per subordinate. These
+tests check UNION evaluation against per-branch evaluation and the
+nested-loop reference, that evaluate_groups pins the predicate it is
+told to, and that a union far wider than Python's recursion limit
+evaluates, prints and explains.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from vpdgate.queryir import (
     TableRef,
     Union,
     evaluate,
+    evaluate_groups,
     render_query,
     union_branches,
 )
@@ -113,8 +114,21 @@ def test_render_of_wide_left_deep_union_joins_branch_renders():
     assert render_query(q) == " UNION ".join(render_query(b) for b in branches)
 
 
+def test_evaluate_groups_pins_the_named_predicate_not_the_first_literal(fixture_dataset):
+    d = fixture_dataset
+    oid, destination, truck = (ColumnRef("object", c) for c in ("oid", "destination", "truck"))
+    sel = Select(projection=(oid,), tables=(TableRef("object"),),
+                 where=(ColEqConst(destination, "New York"), ColEqConst(truck, "t5")))
+    assert evaluate(sel, d).rows == ()  # nothing bound for New York rides t5
+    pinned = evaluate_groups([(sel, (1, dict.fromkeys(["t5", "t1"])))], d)
+    assert pinned.rows == (("o002",),)  # the truck is pinned, the destination still holds
+    branches = [Select(sel.projection, sel.tables, (sel.where[0], ColEqConst(truck, t)))
+                for t in ("t5", "t1")]
+    assert pinned.as_set() == _per_branch(branches, d)
+
+
 # ---------------------------------------------------------------------------
-# Grouped evaluation against per-branch evaluation and the nested-loop oracle
+# UNION evaluation against per-branch evaluation and the nested-loop oracle
 # ---------------------------------------------------------------------------
 
 NAME = ColumnRef("object", "name")
