@@ -14,6 +14,14 @@ EARTH_RADIUS_KM = 6371.0088
 Point = tuple[float, float]
 
 
+def as_point(location) -> Point:
+    """A reported (lat, lon) as floats; ValueError unless both are numbers in range."""
+    lat, lon = map(float, location)
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        raise ValueError(f"location ({lat}, {lon}) outside valid range")
+    return (lat, lon)
+
+
 def haversine_km(a: Point, b: Point) -> float:
     """Great-circle distance between two points in kilometres."""
     lat1, lon1 = math.radians(a[0]), math.radians(a[1])
@@ -27,12 +35,6 @@ def haversine_km(a: Point, b: Point) -> float:
 def _to_vec(p: Point) -> tuple[float, float, float]:
     lat, lon = math.radians(p[0]), math.radians(p[1])
     return (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
-
-
-def _to_point(v: tuple[float, float, float]) -> Point:
-    x, y, z = v
-    hyp = math.hypot(x, y)
-    return (math.degrees(math.atan2(z, hyp)), math.degrees(math.atan2(y, x)))
 
 
 def _cross(u, v):
@@ -86,13 +88,3 @@ def polyline_distance_km(p: Point, polyline: tuple[Point, ...] | list[Point]) ->
         return haversine_km(p, polyline[0])
     return min(segment_distance_km(p, polyline[i], polyline[i + 1])
                for i in range(len(polyline) - 1))
-
-
-def midpoint(a: Point, b: Point) -> Point:
-    """Great-circle midpoint of a and b."""
-    va, vb = _to_vec(a), _to_vec(b)
-    m = (va[0] + vb[0], va[1] + vb[1], va[2] + vb[2])
-    mlen = _norm(m)
-    if mlen < 1e-15:
-        raise ValueError("midpoint of antipodal points is undefined")
-    return _to_point((m[0] / mlen, m[1] / mlen, m[2] / mlen))

@@ -67,16 +67,22 @@ class SchemaManifest:
 
     @staticmethod
     def from_dict(doc: dict) -> "SchemaManifest":
-        fks = tuple((e["from"], e["to"]) for e in doc.get("foreign_keys", []))
-        wps = tuple(
-            (cid, tuple((float(lat), float(lon)) for lat, lon in pts))
-            for cid, pts in sorted(doc.get("waypoints", {}).items())
-        )
-        return SchemaManifest(
-            foreign_keys=fks or DEFAULT_FOREIGN_KEYS,
-            corridor_km=float(doc.get("corridor_km", DEFAULT_CORRIDOR_KM)),
-            waypoints=wps,
-        )
+        """A manifest from its JSON form; malformed input is a ParseError naming the field."""
+        if not isinstance(doc, dict):
+            raise ParseError(f"a schema must be a JSON object, not {type(doc).__name__}")
+        fks = _doc_rows(doc, "foreign_keys", lambda e: (e["from"], e["to"]))
+        where = "waypoints"
+        try:
+            wps = tuple(
+                (cid, tuple((float(lat), float(lon)) for lat, lon in pts))
+                for cid, pts in sorted(doc.get("waypoints", {}).items())
+            )
+            where = "corridor_km"
+            corridor_km = float(doc.get("corridor_km", DEFAULT_CORRIDOR_KM))
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ParseError(str(exc), field=where) from None
+        return SchemaManifest(foreign_keys=fks or DEFAULT_FOREIGN_KEYS,
+                              corridor_km=corridor_km, waypoints=wps)
 
     def to_dict(self) -> dict:
         return {

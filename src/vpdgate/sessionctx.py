@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .errors import UnboundContextKeyError, UnknownSubjectError
-from .geo import Point
+from .geo import Point, as_point
 from .timeutil import as_utc
 
 CONTEXT_KEYS = ("session_user", "l", "t")
@@ -49,11 +49,7 @@ def open_session(user: str, location: Point | None, timestamp: datetime | None,
     """
     if user not in dataset.subject_by_name:
         raise UnknownSubjectError(user)
-    if location is not None:
-        lat, lon = map(float, location)
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            raise ValueError(f"location ({lat}, {lon}) outside valid range")
-        location = (lat, lon)
+    location = as_point(location) if location is not None else None
     if timestamp is not None:
         timestamp = as_utc(timestamp)
     return SessionContext(

@@ -9,6 +9,15 @@ byte-identical event log.
 After every step the runner re-evaluates validity for each logged-in
 subject (in subject-id order) against the dataset version as mutated so
 far, appending the lifecycle transition events.
+
+Step rules are written once. ``load_scenario`` refuses a malformed step
+(an unknown action or chain mode, a bad timestamp, a missing field, half
+a position or a coordinate ``geo.as_point`` rejects, query text that
+does not parse), naming its index. ``_apply`` refuses a step the replay
+state cannot take: an unknown subject, carrier or object, a leave from a
+carrier the subject is not on, an object not on ``from``, a query with
+no open session. ``run_scenario`` raises that refusal with the partial
+log; ``validate_scenario`` reports exactly the steps it would refuse.
 """
 
 from __future__ import annotations
@@ -17,18 +26,22 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
+from typing import NoReturn
 
 from .engine import run_query
-from .errors import ScenarioError
-from .geo import Point
+from .errors import ScenarioError, VpdGateError
+from .geo import Point, as_point
 from .lifecycle import AccessEvent, GrantState, on_context_update
+from .linkage import CHAIN_MODES
+from .queryir import parse_query
 from .relstore import Dataset, ValidationReport, Violation
 from .sessionctx import SessionContext, open_session
 from .timeutil import parse_timestamp
 
 ACTIONS = ("move", "login", "query", "join", "leave", "handover")
 
-SCENARIO_VERSION = 1
+REQUIRED = {"move": ("lat", "lon"), "join": ("subject", "carrier"),
+            "leave": ("subject", "carrier"), "handover": ("from", "to")}
 
 
 @dataclass(frozen=True)
@@ -60,31 +73,49 @@ class ScenarioResult:
 
 
 def _step_from_dict(doc: dict, index: int) -> ScenarioStep:
+    """One step checked for shape; a malformed step is a ScenarioError naming it."""
+    def refuse(message: str) -> NoReturn:
+        raise ScenarioError(f"step {index}: {message}")
+
+    if not isinstance(doc, dict):
+        refuse("a step must be a JSON object")
     action = doc.get("action")
     if action not in ACTIONS:
-        raise ScenarioError(f"step {index}: unknown action {action!r}")
+        refuse(f"unknown action {action!r}")
     try:
         at = parse_timestamp(doc["at"])
-    except (KeyError, ValueError) as exc:
-        raise ScenarioError(f"step {index}: bad timestamp: {exc}") from None
-    location = None
-    if "lat" in doc or "lon" in doc:
-        location = (float(doc["lat"]), float(doc["lon"]))
-    return ScenarioStep(
-        at=at,
-        action=action,
-        subject=doc.get("subject"),
-        location=location,
-        text=doc.get("text"),
-        mode=doc.get("mode", "workflow"),
-        carrier=doc.get("carrier"),
-        objects=tuple(doc.get("objects", ())),
-        from_carrier=doc.get("from"),
-        to_carrier=doc.get("to"),
-    )
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        refuse(f"bad timestamp: {exc}")
+    if ("lat" in doc) != ("lon" in doc):
+        refuse("lat and lon must be given together")
+    missing = [key for key in REQUIRED.get(action, ()) if doc.get(key) is None]
+    if missing:
+        refuse(f"{action} without {' or '.join(missing)}")
+    try:
+        location = as_point((doc["lat"], doc["lon"])) if "lat" in doc else None
+    except (TypeError, ValueError) as exc:
+        refuse(f"bad location: {exc}")
+    names = [doc[key] for key in ("subject", "carrier", "from", "to", "text")
+             if doc.get(key) is not None]
+    objects = doc.get("objects", [])
+    if not (isinstance(objects, list) and all(isinstance(v, str) for v in names + objects)):
+        refuse("subject, carrier, from, to, text and objects must be strings")
+    mode = doc.get("mode", "workflow")
+    if mode not in CHAIN_MODES:
+        refuse(f"unknown chain mode {mode!r}")
+    if doc.get("text") is not None:
+        try:
+            parse_query(doc["text"])
+        except VpdGateError as exc:
+            refuse(f"bad query text: {exc}")
+    return ScenarioStep(at=at, action=action, subject=doc.get("subject"), location=location,
+                        text=doc.get("text"), mode=mode, carrier=doc.get("carrier"),
+                        objects=tuple(objects), from_carrier=doc.get("from"),
+                        to_carrier=doc.get("to"))
 
 
 def load_scenario(source: str | Path | dict) -> Scenario:
+    """A scenario from a JSON file or dict; malformed steps are refused here."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -93,56 +124,66 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     return Scenario(name=doc.get("name", "scenario"), steps=steps)
 
 
+def _replay_order(sc: Scenario) -> list[tuple[int, ScenarioStep]]:
+    """(file index, step) by timestamp; equal stamps keep file order."""
+    return sorted(enumerate(sc.steps), key=lambda pair: pair[1].at)
+
+
+def _apply(d: Dataset, positions: dict[str, Point], logged_in: list[str], index: int,
+           step: ScenarioStep, partial_log=()) -> Dataset:
+    """Apply one step to the replay state; returns the Dataset version after it.
+
+    A step that cannot be applied raises ScenarioError and changes nothing.
+    """
+    def refuse(message: str) -> NoReturn:
+        raise ScenarioError(f"step {index} ({step.action} @ {step.at.isoformat()}): {message}",
+                            partial_log=partial_log)
+
+    if step.action != "handover" and step.subject not in d.subject_by_name:
+        refuse(f"unknown subject {step.subject!r}")
+    if step.action in ("join", "leave") and step.carrier not in d.carrier_by_id:
+        refuse(f"unknown carrier {step.carrier!r}")
+    if step.action == "move":
+        positions[step.subject] = step.location
+    elif step.action == "login":
+        if step.subject not in logged_in:
+            logged_in.append(step.subject)
+    elif step.action == "query":
+        if step.subject not in logged_in:
+            refuse(f"{step.subject!r} has no open session")
+    elif step.action == "join":
+        return d.with_assignment(d.subject_by_name[step.subject].id, step.carrier)
+    elif step.action == "leave":
+        subject_id = d.subject_by_name[step.subject].id
+        if all(a.carrier_id != step.carrier for a in d.assignments_of(subject_id)):
+            refuse(f"{step.subject!r} is not on {step.carrier!r}")
+        return d.without_assignment(subject_id, step.carrier)
+    else:  # handover
+        for carrier in (step.from_carrier, step.to_carrier):
+            if carrier not in d.carrier_by_id:
+                refuse(f"unknown carrier {carrier!r}")
+        for oid in step.objects:
+            record = d.object_by_id.get(oid)
+            if record is None:
+                refuse(f"unknown object {oid!r}")
+            if record.carrier_id != step.from_carrier:
+                refuse(f"object {oid!r} is not on {step.from_carrier!r}")
+        return d.with_object_carrier(step.objects, step.to_carrier)
+    return d
+
+
 def validate_scenario(sc: Scenario, d: Dataset) -> ValidationReport:
-    """Static walk of the steps against the dataset as mutated so far."""
-    out: list[Violation] = []
-    subjects = {s.name for s in d.subjects}
-    carriers = {c.id for c in d.carriers}
-    object_carrier = {o.oid: o.carrier_id for o in d.objects}
-    assignments = {(a.subject_id, a.carrier_id) for a in d.assignments}
-    by_name_id = {s.name: s.id for s in d.subjects}
-
-    prev_at: datetime | None = None
-    for i, step in enumerate(sc.steps):
-        where = f"step {i} ({step.action})"
-        if prev_at is not None and step.at < prev_at:
-            out.append(Violation("scenario", str(i), "time-regression",
-                                 f"{where} goes back in time"))
-        prev_at = step.at
-
-        if step.action in ("move", "login", "query", "join", "leave"):
-            if step.subject not in subjects:
-                out.append(Violation("scenario", str(i), "unresolvable-reference",
-                                     f"{where} references unknown subject {step.subject!r}"))
-                continue
-        if step.action in ("join", "leave"):
-            if step.carrier not in carriers:
-                out.append(Violation("scenario", str(i), "unresolvable-reference",
-                                     f"{where} references unknown carrier {step.carrier!r}"))
-                continue
-            key = (by_name_id[step.subject], step.carrier)
-            if step.action == "join":
-                assignments.add(key)
-            elif key not in assignments:
-                out.append(Violation("scenario", str(i), "unresolvable-reference",
-                                     f"{where}: {step.subject!r} is not on {step.carrier!r}"))
-            else:
-                assignments.discard(key)
-        if step.action == "handover":
-            for carrier in (step.from_carrier, step.to_carrier):
-                if carrier not in carriers:
-                    out.append(Violation("scenario", str(i), "unresolvable-reference",
-                                         f"{where} references unknown carrier {carrier!r}"))
-            for oid in step.objects:
-                if oid not in object_carrier:
-                    out.append(Violation("scenario", str(i), "unresolvable-reference",
-                                         f"{where} references unknown object {oid!r}"))
-                elif object_carrier[oid] != step.from_carrier:
-                    out.append(Violation("scenario", str(i), "unresolvable-reference",
-                                         f"{where}: object {oid!r} is not on "
-                                         f"{step.from_carrier!r}"))
-                else:
-                    object_carrier[oid] = step.to_carrier
+    """Time regressions in file order, then one violation per step the runner would refuse."""
+    out = [Violation("scenario", str(i), "time-regression",
+                     f"step {i} ({step.action}) goes back in time")
+           for i, (prev, step) in enumerate(zip(sc.steps, sc.steps[1:]), start=1)
+           if step.at < prev.at]
+    positions, logged_in = {}, []
+    for i, step in _replay_order(sc):
+        try:
+            d = _apply(d, positions, logged_in, i, step)
+        except ScenarioError as exc:
+            out.append(Violation("scenario", str(i), "unresolvable-reference", str(exc)))
     return ValidationReport(tuple(out))
 
 
@@ -151,9 +192,9 @@ def run_scenario(sc: Scenario, d: Dataset, *, supervisor_mode: str = "narrative"
     """Apply the steps in timestamp order and collect lifecycle events.
 
     Steps with equal timestamps keep their file order; re-ordering steps
-    with distinct timestamps in the input does not change the log.
+    with distinct timestamps in the input does not change the log. A step
+    that cannot be applied raises ScenarioError with the log so far.
     """
-    steps = sorted(sc.steps, key=lambda s: s.at)  # stable: equal stamps keep file order
     dataset = d
     positions: dict[str, Point] = {}
     logged_in: list[str] = []
@@ -170,26 +211,10 @@ def run_scenario(sc: Scenario, d: Dataset, *, supervisor_mode: str = "narrative"
     def context_map(now: datetime) -> dict[str, SessionContext]:
         return {s: context_for(s, now) for s in logged_in}
 
-    def fail(step: ScenarioStep, message: str):
-        raise ScenarioError(f"{step.action} @ {step.at.isoformat()}: {message}",
-                            partial_log=events)
-
-    for step in steps:
+    for index, step in _replay_order(sc):
         now = step.at
-        if step.action == "move":
-            if step.subject not in dataset.subject_by_name:
-                fail(step, f"unknown subject {step.subject!r}")
-            if step.location is None:
-                fail(step, "move without lat/lon")
-            positions[step.subject] = step.location
-        elif step.action == "login":
-            if step.subject not in dataset.subject_by_name:
-                fail(step, f"unknown subject {step.subject!r}")
-            if step.subject not in logged_in:
-                logged_in.append(step.subject)
-        elif step.action == "query":
-            if step.subject not in logged_in:
-                fail(step, f"{step.subject!r} has no open session")
+        dataset = _apply(dataset, positions, logged_in, index, step, partial_log=events)
+        if step.action == "query":
             ctx = context_for(step.subject, now)
             rows = run_query(dataset, ctx, step.text, chain_mode=step.mode,
                              supervisor_mode=supervisor_mode,
@@ -199,31 +224,6 @@ def run_scenario(sc: Scenario, d: Dataset, *, supervisor_mode: str = "narrative"
             except Exception:
                 oids = tuple(str(r) for r in rows.sorted_rows())
             query_results.append((step.at.isoformat(), step.subject, oids))
-        elif step.action == "join":
-            if step.carrier not in dataset.carrier_by_id:
-                fail(step, f"unknown carrier {step.carrier!r}")
-            if step.subject not in dataset.subject_by_name:
-                fail(step, f"unknown subject {step.subject!r}")
-            subject_id = dataset.subject_by_name[step.subject].id
-            dataset = dataset.with_assignment(subject_id, step.carrier)
-        elif step.action == "leave":
-            if step.subject not in dataset.subject_by_name:
-                fail(step, f"unknown subject {step.subject!r}")
-            subject_id = dataset.subject_by_name[step.subject].id
-            if all(a.carrier_id != step.carrier for a in dataset.assignments_of(subject_id)):
-                fail(step, f"{step.subject!r} is not on {step.carrier!r}")
-            dataset = dataset.without_assignment(subject_id, step.carrier)
-        elif step.action == "handover":
-            for carrier in (step.from_carrier, step.to_carrier):
-                if carrier not in dataset.carrier_by_id:
-                    fail(step, f"unknown carrier {carrier!r}")
-            for oid in step.objects:
-                record = dataset.object_by_id.get(oid)
-                if record is None:
-                    fail(step, f"unknown object {oid!r}")
-                if record.carrier_id != step.from_carrier:
-                    fail(step, f"object {oid!r} is not on {step.from_carrier!r}")
-            dataset = dataset.with_object_carrier(step.objects, step.to_carrier)
 
         # Re-evaluate everyone with an open session against the new state.
         contexts = context_map(now)

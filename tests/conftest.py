@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from vpdgate import geo, relstore, sessionctx
+from randgen import midpoint
+from vpdgate import relstore, sessionctx
 from vpdgate.timeutil import parse_timestamp
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -31,7 +32,7 @@ def golden_dir():
 
 @pytest.fixture()
 def t1_midpoint():
-    return geo.midpoint(VANCOUVER, MIAMI)
+    return midpoint(VANCOUVER, MIAMI)
 
 
 @pytest.fixture()

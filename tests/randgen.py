@@ -13,6 +13,7 @@ Everything is driven by a seeded Random, so a sweep is reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 from datetime import timedelta
 
@@ -35,6 +36,20 @@ CITIES = [
     ("Kingston", 17.9712, -76.7936),
     ("Lisbon", 38.7223, -9.1393),
 ]
+
+def midpoint(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    """Great-circle midpoint of a and b: the normalised sum of their unit vectors."""
+    def vec(p):
+        lat, lon = math.radians(p[0]), math.radians(p[1])
+        return (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
+
+    m = [u + v for u, v in zip(vec(a), vec(b))]
+    mlen = math.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2])
+    if mlen < 1e-15:
+        raise ValueError("midpoint of antipodal points is undefined")
+    x, y, z = (c / mlen for c in m)
+    return (math.degrees(math.atan2(z, math.hypot(x, y))), math.degrees(math.atan2(y, x)))
+
 
 GOODS = ["Timber", "Steel", "Grain", "Cotton", "Copper", "Cement", "Glass", "Salt"]
 
@@ -85,7 +100,7 @@ def _carriers(rng: random.Random) -> list[dict]:
             # A detour waypoint bends the route into two segments.
             a = (origin[1], origin[2])
             b = (destination[1], destination[2])
-            mid = geo.midpoint(a, b)
+            mid = midpoint(a, b)
             detour = (max(-89.0, min(89.0, mid[0] + rng.choice((-4.0, 4.0)))), mid[1])
             carrier["waypoints"] = [list(a), list(detour), list(b)]
         out.append(carrier)
@@ -173,7 +188,7 @@ def _route_point(rng: random.Random, carrier) -> tuple[float, float]:
         return a
     if roll < 0.5:
         return b
-    return geo.midpoint(a, b)
+    return midpoint(a, b)
 
 
 def _window_time(rng: random.Random, carrier):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -112,6 +115,48 @@ def test_simulate_writes_log(capsys, tmp_path):
     assert out.strip() == str(out_path)
     lines = out_path.read_text().splitlines()
     assert json.loads(lines[0])["transition"] == "GRANT"
+
+
+def test_simulate_invalid_scenario_exits_1_without_traceback(tmp_path):
+    scenario = tmp_path / "half.json"
+    scenario.write_text(json.dumps({"name": "half", "steps": [
+        {"at": "2010-07-02T00:00:00Z", "action": "move", "subject": "Victor", "lat": 31.2}]}))
+    src = str(Path(relstore.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "vpdgate.cli", "simulate",
+         "--data", str(relstore.bundled_data_dir("handover")),
+         "--scenario", str(scenario), "--out", str(tmp_path / "events.jsonl")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: step 0: lat and lon must be given together"]
+    assert not (tmp_path / "events.jsonl").exists()
+
+
+SCHEMA_CASES = {
+    "fk-missing-to": ({"foreign_keys": [{"from": "subject.id"}]},
+                      "error: foreign_keys (row 0): missing key 'to'"),
+    "corridor-not-a-number": ({"corridor_km": "wide"},
+                              "error: corridor_km: could not convert string to float: 'wide'"),
+}
+
+
+@pytest.mark.parametrize("via", ["data", "manifest"])
+@pytest.mark.parametrize("case", sorted(SCHEMA_CASES))
+def test_malformed_schema_names_the_field(capsys, tmp_path, via, case):
+    schema, expected = SCHEMA_CASES[case]
+    if via == "data":
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"schema": schema}))
+        argv = ["load", "--data", str(path)]
+    else:
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(schema))
+        argv = ["load", "--data", DATA, "--manifest", str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.splitlines() == [expected]
 
 
 def test_missing_data_dir_errors(capsys, monkeypatch):

@@ -187,3 +187,18 @@ def test_json_dataset_must_be_an_object(tmp_path):
     path.write_text("[]")
     with pytest.raises(ParseError, match="must be a JSON object"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("schema, message", [
+    ({"foreign_keys": [{"from": "subject.id", "to": "assignment.id"}, {"to": "object.truck"}]},
+     r"^foreign_keys \(row 1\): missing key 'from'$"),
+    ({"foreign_keys": ["subject.id"]}, r"^foreign_keys \(row 0\): "),
+    ({"corridor_km": "wide"}, r"^corridor_km: could not convert string to float: 'wide'$"),
+    ({"waypoints": {"t1": [[49.2, -123.1], [25.7]]}}, r"^waypoints: "),
+    ({"waypoints": [[49.2, -123.1]]}, r"^waypoints: "),
+    (["subject.id"], r"^a schema must be a JSON object, not list$"),
+], ids=["fk-missing-from", "fk-not-an-object", "corridor-not-a-number",
+        "waypoint-not-a-pair", "waypoints-not-an-object", "schema-not-an-object"])
+def test_malformed_manifest_names_the_field(schema, message):
+    with pytest.raises(ParseError, match=message):
+        relstore.SchemaManifest.from_dict(schema)

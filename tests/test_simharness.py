@@ -1,10 +1,14 @@
 import json
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vpdgate import lifecycle, relstore, simharness
+from vpdgate import lifecycle, linkage, relstore, simharness
 from vpdgate.errors import ScenarioError
 from vpdgate.simharness import load_scenario, run_scenario, validate_scenario
+from vpdgate.timeutil import parse_timestamp
 
 SCENARIO_PATH = relstore.bundled_data_dir("scenarios") / "ship_truck_handover.json"
 
@@ -139,3 +143,105 @@ def test_leave_twice_fails_the_second_time(handover_dataset):
     twice = once + [{"at": "2010-07-03T00:00:00Z", **leave}]
     with pytest.raises(ScenarioError, match="'Victor' is not on 'ship1'"):
         run_scenario(load_scenario({"name": "leave-twice", "steps": twice}), handover_dataset)
+
+
+def test_query_before_login_is_reported_and_named(handover_dataset):
+    sc = load_scenario({"name": "early-query", "steps": [
+        {"at": "2010-07-02T00:00:00Z", "action": "login", "subject": "Bruno"},
+        {"at": "2010-07-02T01:00:00Z", "action": "query", "subject": "Zoe",
+         "text": "select * from object"}]})
+    report = validate_scenario(sc, handover_dataset)
+    assert [(v.key, v.kind) for v in report] == [("1", "unresolvable-reference")]
+    with pytest.raises(ScenarioError, match=r"^step 1 \(query @ .*'Zoe' has no open session"):
+        run_scenario(sc, handover_dataset)
+
+
+AT = "2010-07-03T00:00:00Z"
+
+
+def _move(**fields):
+    return {"at": AT, "action": "move", "subject": "Victor", **fields}
+
+
+def _query(**fields):
+    return {"at": AT, "action": "query", "subject": "Zoe", **fields}
+
+
+@pytest.mark.parametrize("step, message", [
+    ({"at": AT, "action": "fly"}, "unknown action 'fly'"),
+    ({"at": 20100703, "action": "login", "subject": "Zoe"}, "bad timestamp"),
+    (_move(lat=31.2304), "lat and lon must be given together"),
+    (_move(lon=121.4737), "lat and lon must be given together"),
+    (_move(lat="north", lon=121.4737), "bad location"),
+    (_move(lat=95.0, lon=121.4737), r"bad location: location \(95.0, 121.4737\) outside"),
+    (_move(lat=31.2304, lon=float("nan")), "bad location"),
+    (_move(), "move without lat or lon"),
+    ({"at": AT, "action": "join", "subject": "Dana"}, "join without carrier"),
+    ({"at": AT, "action": "leave", "carrier": "ship1"}, "leave without subject"),
+    ({"at": AT, "action": "handover", "objects": ["g001"], "from": "ship1"},
+     "handover without to"),
+    ({"at": AT, "action": "handover", "objects": ["g001"], "to": "truck1"},
+     "handover without from"),
+    ({"at": AT, "action": "handover", "objects": "g001", "from": "ship1", "to": "truck1"},
+     "subject, carrier, from, to, text and objects must be strings"),
+    (_query(mode="psychic"), "unknown chain mode 'psychic'"),
+    (_query(text="select * frm object"), "bad query text: expected FROM"),
+    (_query(text="select * from object where oid > 1"), "bad query text: comparison '>'"),
+    (_query(text=7), "subject, carrier, from, to, text and objects must be strings"),
+], ids=["unknown-action", "timestamp-not-a-string", "lat-without-lon", "lon-without-lat",
+        "lat-not-a-number", "lat-out-of-range", "lon-nan", "move-without-location",
+        "join-without-carrier", "leave-without-subject", "handover-without-to",
+        "handover-without-from", "objects-not-a-list", "unknown-chain-mode",
+        "query-syntax-error", "query-unsupported", "text-not-a-string"])
+def test_load_refuses_malformed_step(step, message):
+    """A malformed step is refused at load, named by its index (here 1)."""
+    steps = [{"at": AT, "action": "login", "subject": "Zoe"}, step]
+    with pytest.raises(ScenarioError, match=f"^step 1: {message}"):
+        load_scenario({"name": "bad", "steps": steps})
+
+
+# Names that resolve in the handover dataset, plus one of each kind that does not.
+SUBJECTS = ["Xavier", "Victor", "Wendy", "Dana", "Elliot", "Zoe", "Bruno", "Ghost"]
+CARRIERS = ["ship1", "truck1", "zeppelin9"]
+OBJECTS = ["g001", "g002", "g999"]
+POINTS = [(31.2304, 121.4737), (47.6062, -122.3321), (46.0727, -104.0934), (-33.9, 18.4)]
+VALID_TEXTS = ["select * from object", "select oid, name from object",
+               "select * from object where name = 'Apparel'"]
+
+_stamps = st.integers(0, 30 * 24).map(
+    lambda h: (parse_timestamp("2010-07-01T00:00:00Z") + timedelta(hours=h))
+    .isoformat().replace("+00:00", "Z"))
+_subjects = st.sampled_from(SUBJECTS)
+_carriers = st.sampled_from(CARRIERS)
+_steps = st.one_of(
+    st.builds(lambda at, s, p: {"at": at, "action": "move", "subject": s,
+                                "lat": p[0], "lon": p[1]},
+              _stamps, _subjects, st.sampled_from(POINTS)),
+    st.builds(lambda at, s: {"at": at, "action": "login", "subject": s}, _stamps, _subjects),
+    st.builds(lambda at, s, text, mode: {"at": at, "action": "query", "subject": s,
+                                         "text": text, "mode": mode},
+              _stamps, _subjects, st.sampled_from(VALID_TEXTS),
+              st.sampled_from(linkage.CHAIN_MODES)),
+    st.builds(lambda at, action, s, c: {"at": at, "action": action, "subject": s,
+                                        "carrier": c},
+              _stamps, st.sampled_from(["join", "leave"]), _subjects, _carriers),
+    st.builds(lambda at, objects, a, b: {"at": at, "action": "handover",
+                                         "objects": objects, "from": a, "to": b},
+              _stamps, st.lists(st.sampled_from(OBJECTS), max_size=2), _carriers, _carriers),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_steps, max_size=10))
+def test_validate_reports_exactly_the_steps_the_runner_refuses(handover_dataset, steps):
+    sc = load_scenario({"name": "mixed", "steps": steps})
+    refused = [v for v in validate_scenario(sc, handover_dataset)
+               if v.kind != "time-regression"]
+    try:
+        run_scenario(sc, handover_dataset)
+    except ScenarioError as exc:
+        assert refused, f"runner refused what validation passed: {exc}"
+        assert str(exc).startswith(f"step {refused[0].key} (")
+        assert str(exc) == refused[0].message
+    else:
+        assert not refused, [str(v) for v in refused]
