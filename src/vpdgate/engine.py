@@ -7,10 +7,10 @@ its own, it only sequences lifecycle and vpdrewrite calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .lifecycle import GrantState, build_vpd, check_validity
-from .queryir import (Query, RowSet, Select, _render_predicate, parse_query, render_query,
+from .queryir import (Query, RowSet, parse_query, render_predicate, render_query,
                       row_sort_key, union_branches)
 from .relstore import Dataset
 from .sessionctx import SessionContext
@@ -74,31 +74,27 @@ def explain(d: Dataset, ctx: SessionContext, query: str | Query, *,
     outcome = run_query(d, ctx, query, chain_mode=chain_mode,
                         supervisor_mode=supervisor_mode, contexts=contexts,
                         policies=policies)
-    original = render_query(query)
-    rewritten = outcome.vpd.query
-    injected: list[str] = []
-    first_branch = union_branches(rewritten)[0]
-    if isinstance(query, Select):
-        user_preds = len(query.where)
-        preds = first_branch.where[:len(first_branch.where) - user_preds] \
-            if user_preds else first_branch.where
-        injected = [_render_predicate(p) for p in preds]
+    vpd = outcome.vpd
+    # The first branch without the user's conditions; a supervisor's own
+    # branch has its identity pinned to its name.
+    first = replace(vpd.branches[0], user=())
+    injected = first.select(vpd.subject if vpd.closed_query is not None else None).where
 
     lines = [
         f"subject: {ctx.user}",
-        f"original: {original}",
+        f"original: {render_query(query)}",
         f"mode: {chain_mode} (supervisor: {supervisor_mode})",
         "injected predicates:",
-        *(f"  {p}" for p in injected),
+        *(f"  {render_predicate(p)}" for p in injected),
         "expansion:",
-        *(f"  {line}" for line in _union_lines(rewritten)),
-        f"provenance: {', '.join(outcome.vpd.provenance)}",
+        *(f"  {line}" for line in _union_lines(vpd.query)),
+        f"provenance: {', '.join(vpd.provenance)}",
         f"verdict: {outcome.state.state} ({outcome.state.reason})",
         f"entailment: {'satisfied' if outcome.entailed else 'VIOLATED'}",
     ]
     if outcome.witness is not None:
         lines.append(f"witness: {outcome.witness}")
-    if outcome.vpd.closed_query is not None:
+    if vpd.closed_query is not None:
         lines.append("closed form:")
-        lines.extend(f"  {line}" for line in _union_lines(outcome.vpd.closed_query))
+        lines.extend(f"  {line}" for line in _union_lines(vpd.closed_query))
     return "\n".join(lines)

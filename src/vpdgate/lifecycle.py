@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import linkage
 from .errors import UnknownSubjectError
-from .linkage import REASON_IN_RANGE, REASON_NO_ASSIGNMENT
+from .linkage import REASON_IN_RANGE, REASON_NO_ASSIGNMENT, SUPERVISOR_MODES
 from .queryir import Select, STAR, TableRef, parse_query
 from .relstore import Dataset
 from .sessionctx import SessionContext
@@ -53,8 +53,6 @@ DENY = "DENY"
 VPD_CHANGED = "VPD_CHANGED"
 
 REASON_STRICT_SUBORDINATE = "strict-subordinate-invalid"
-
-SUPERVISOR_MODES = ("narrative", "strict")
 
 EVENT_LOG_VERSION = 1
 
@@ -94,6 +92,8 @@ def check_validity(s: str, ctx: SessionContext, d: Dataset,
     with no assignment, REVOKED otherwise. Wired sessions follow the
     supervisor rules of the selected mode.
     """
+    if mode not in SUPERVISOR_MODES:
+        raise ValueError(f"unknown supervisor mode: {mode!r}")
     if s not in d.subject_by_name:
         raise UnknownSubjectError(s)
     since = ctx.timestamp or ctx.opened_at

@@ -27,6 +27,7 @@ from .queryir import ColEqCol, ColEqContext, ColumnRef, Predicate
 from .relstore import Dataset
 
 CHAIN_MODES = ("workflow", "specialty", "direct")
+SUPERVISOR_MODES = ("narrative", "strict")
 
 SUBJECT_TABLE = "subject"
 

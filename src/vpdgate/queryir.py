@@ -403,7 +403,8 @@ def _render_literal(value: str | int | float) -> str:
     return repr(value)
 
 
-def _render_predicate(p: Predicate) -> str:
+def render_predicate(p: Predicate) -> str:
+    """One predicate's canonical text, as a WHERE clause prints it."""
     if isinstance(p, ColEqCol):
         return f"{p.a} = {p.b}"
     if isinstance(p, ColEqConst):
@@ -430,7 +431,7 @@ def _render_select(q: Select) -> str:
     parts = ["SELECT ", ", ".join(str(c) for c in q.projection),
              " FROM ", ", ".join(str(t) for t in q.tables)]
     if q.where:
-        parts += [" WHERE ", " AND ".join(_render_predicate(p) for p in q.where)]
+        parts += [" WHERE ", " AND ".join(render_predicate(p) for p in q.where)]
     return "".join(parts)
 
 

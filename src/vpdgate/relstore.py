@@ -557,7 +557,7 @@ def validate_dataset(d: Dataset) -> ValidationReport:
             out.append(Violation("object", o.oid, "dangling-reference",
                                  f"object {o.oid!r} references unknown carrier {o.carrier_id!r}"))
 
-    cycle = _find_org_cycle(d.org_edges)
+    cycle = _find_org_cycle(d.org_children)
     if cycle:
         out.append(Violation("org_hierarchy", cycle[0], "cycle",
                              "organizational units form a cycle: " + " -> ".join(cycle)))
@@ -565,34 +565,29 @@ def validate_dataset(d: Dataset) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def _find_org_cycle(edges: tuple[OrgEdge, ...]) -> list[str] | None:
-    children: dict[str, list[str]] = {}
-    for e in edges:
-        children.setdefault(e.ou, []).append(e.sub_ou)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-    path: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = GREY
-        path.append(node)
-        for child in children.get(node, ()):
-            state = color.get(child, WHITE)
-            if state == GREY:
-                return path[path.index(child):] + [child]
-            if state == WHITE:
-                found = visit(child)
-                if found:
-                    return found
-        color[node] = BLACK
-        path.pop()
-        return None
-
-    for node in list(children):
-        if color.get(node, WHITE) == WHITE:
-            found = visit(node)
-            if found:
-                return found
+def _find_org_cycle(children: dict[str, tuple[str, ...]]) -> list[str] | None:
+    """The first cycle of a depth-first walk in edge order, closed by its
+    first unit; None when acyclic. The walk keeps its own stack, so no
+    hierarchy depth reaches the recursion limit."""
+    done: set[str] = set()
+    for root in children:
+        if root in done:
+            continue
+        path, on_path, stack = [root], {root: 0}, [iter(children[root])]
+        while stack:
+            for child in stack[-1]:
+                if child in on_path:
+                    return path[on_path[child]:] + [child]
+                if child not in done:
+                    on_path[child] = len(path)
+                    path.append(child)
+                    stack.append(iter(children.get(child, ())))
+                    break
+            else:
+                stack.pop()
+                node = path.pop()
+                del on_path[node]
+                done.add(node)
     return None
 
 

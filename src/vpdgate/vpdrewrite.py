@@ -18,27 +18,31 @@ The projection keeps the user query's column scope: `select * from
 object` projects `object.*` after rewriting, so a VPD result has the
 same schema as the request and the VPD can only ever shrink it.
 
-Supervisors (subjects with subordinates in the org hierarchy) are
-expanded into a UNION of their own branch plus one branch per
-subordinate, and equivalently into a closed form whose branches select
-subjects by department membership through IN-subqueries over
-org_hierarchy, one nesting level per hierarchy level.
+Each rewritten branch keeps its predicates by role (Branch): the range
+gates, the session identity, the chain predicates and the user's own
+conditions, copied verbatim. Supervisors (subjects with subordinates in
+the org hierarchy) are expanded from those roles alone: a subordinate's
+branch is the supervisor's without the range gates and with the identity
+pinned to the subordinate's name, and the closed form replaces the
+identity by department membership through IN-subqueries over
+org_hierarchy, one nesting level per hierarchy level. The user's
+conditions are never rewritten, `sys_context:session_user` and range
+conditions included, so the VPD only ever shrinks the request.
 
 A supervisor's VPD is held as the (Select, pin) pairs its UNION
-evaluates as (queryir.evaluate_groups): each rewritten base branch
-pinned to the supervisor, and the same branch without its range gates
-pinned to every kept subordinate. The pin is the slot of the
-session-identity predicate the rewrite injected itself. Building them
-costs O(base branches + subordinates); the UNION and the closed form
-are built, with the same text, only when read (CLI, explain).
-Whether a subordinate's reported context fails the route check is
-linkage.route_verdict's decision (subordinate_known_invalid).
+evaluates as (queryir.evaluate_groups): each base branch pinned at its
+identity to the supervisor, and the same branch without its range gates
+pinned at its identity to every kept subordinate. Building them costs
+O(base branches + subordinates); the UNION and the closed form are built
+only when read (CLI, explain). Whether a subordinate's reported context
+fails the route check is linkage.route_verdict's decision
+(subordinate_known_invalid).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import linkage
@@ -72,26 +76,51 @@ ContextMap = dict  # subject name -> SessionContext
 # Types
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Branch:
+    """One rewritten branch, its predicates kept by role, in WHERE order."""
+
+    projection: tuple[ColumnRef, ...]
+    tables: tuple[TableRef, ...]
+    gates: tuple[InRange, ...]  # the session's range gates; none when wired
+    identity: ColEqContext  # subject.name = sys_context:session_user (linkage.link)
+    chain: tuple[Predicate, ...]  # the rest of linkage.link's conjunction
+    user: tuple[Predicate, ...]  # the request's own conditions, verbatim
+
+    def select(self, who: str | InSubquery | None = None, gated: bool = True) -> Select:
+        """The branch as a Select. `who` replaces the identity: a name pins
+        it to that subject, a predicate (department membership) takes its
+        place. gated=False drops the range gates."""
+        identity = (self.identity if who is None else
+                    ColEqConst(self.identity.a, who) if isinstance(who, str) else who)
+        return Select(projection=self.projection, tables=self.tables,
+                      where=(self.gates if gated else ()) + (identity,) + self.chain + self.user)
+
+
 class VpdDefinition:
     """A subject's VPD: its query, where its predicates came from, and
     whether it depends on the reported location and time.
 
     `query` and `closed_query` are each either a Query or a function that
     builds it; a function is called on the first read and its Query kept.
-    A supervisor's VPD of more than one branch (expand_supervisor) also
-    carries `groups`, the (Select, pin) pairs its union evaluates as
-    (queryir.evaluate_groups), so materializing it never builds the union.
+    `branches` holds the rewrite's base branches by role (Branch), in
+    union order. A supervisor's VPD of more than one branch
+    (expand_supervisor) also carries `groups`, the (Select, pin) pairs its
+    union evaluates as (queryir.evaluate_groups), so materializing it never
+    builds the union.
     """
 
     def __init__(self, subject: str, location_dependent: bool, time_dependent: bool,
                  query: Query | Callable[[], Query], provenance: tuple[str, ...],
                  closed_query: Query | Callable[[], Query] | None = None,
-                 groups: tuple[tuple[Select, tuple[int, dict] | None], ...] | None = None):
+                 groups: tuple[tuple[Select, tuple[int, dict]], ...] | None = None,
+                 branches: tuple[Branch, ...] = ()):
         self.subject = subject
         self.location_dependent = location_dependent
         self.time_dependent = time_dependent
         self.provenance = provenance
         self.groups = groups
+        self.branches = branches
         self._query, self._closed_query = query, closed_query
 
     @cached_property
@@ -226,7 +255,8 @@ def rewrite(q: Query, ctx: SessionContext, d: Dataset,
             location_dependent=parts[0].location_dependent,
             time_dependent=parts[0].time_dependent,
             query=_union_of([part.query for part in parts]),
-            provenance=provenance)
+            provenance=provenance,
+            branches=sum((part.branches for part in parts), ()))
 
     aliases = _alias_map(q)
     user_tables = [aliases[t.binding] for t in q.tables]
@@ -236,20 +266,16 @@ def rewrite(q: Query, ctx: SessionContext, d: Dataset,
     from_tables = list(chain_tables) + [t for t in user_tables if t not in chain_tables]
 
     wireless = ctx.wireless
-    gates: tuple[Predicate, ...] = ()
+    gates: tuple[InRange, ...] = ()
     if wireless:
         gates = (InRange("l", RangeRef(ctx.user, "location")),
                  InRange("t", RangeRef(ctx.user, "time")))
 
     user_preds = tuple(_requalify_predicate(p, aliases, user_tables) for p in q.where)
     projection = _scoped_projection(q, aliases)
-
-    branches = []
-    for branch_preds in linkage.link(ctx.user, target, mode, d):
-        branches.append(Select(
-            projection=projection,
-            tables=tuple(TableRef(t) for t in from_tables),
-            where=gates + branch_preds + user_preds))
+    tables = tuple(TableRef(t) for t in from_tables)
+    branches = tuple(Branch(projection, tables, gates, identity, tuple(chain), user_preds)
+                     for identity, *chain in linkage.link(ctx.user, target, mode, d))
 
     provenance = [f"mode:{mode}", "session-predicate"]
     if wireless:
@@ -263,8 +289,9 @@ def rewrite(q: Query, ctx: SessionContext, d: Dataset,
         subject=ctx.user,
         location_dependent=wireless,
         time_dependent=wireless,
-        query=_union_of(branches),
-        provenance=tuple(provenance))
+        query=_union_of([b.select() for b in branches]),
+        provenance=tuple(provenance),
+        branches=branches)
 
 
 # ---------------------------------------------------------------------------
@@ -277,23 +304,6 @@ def _union_of(selects: list[Select]) -> Query:
     for s in selects[1:]:
         out = Union(out, s)
     return out
-
-
-def _is_identity(p: Predicate) -> bool:
-    return isinstance(p, ColEqContext) and p.key == "session_user"
-
-
-def _ungated(preds: tuple[Predicate, ...]) -> tuple[Predicate, ...]:
-    """The predicates without range gates: a subordinate's branch is not
-    gated by its supervisor's report."""
-    return tuple(p for p in preds if not isinstance(p, InRange))
-
-
-def _instantiate(sel: Select, subject_name: str, *, strip_gates: bool) -> Select:
-    """Pin a rewritten branch to a fixed subject and optionally drop range gates."""
-    preds = _ungated(sel.where) if strip_gates else sel.where
-    return replace(sel, where=tuple(ColEqConst(p.a, subject_name) if _is_identity(p) else p
-                                    for p in preds))
 
 
 def _dept_membership(depth: int, dept: str) -> InSubquery:
@@ -330,17 +340,21 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
                       supervisor_mode: str = "narrative") -> VpdDefinition:
     """Union a subject's VPD with its transitive subordinates' VPDs.
 
-    The union form pins each branch to a subordinate by name; in
-    narrative mode subordinates whose reported context fails the route
-    check are dropped. The closed form reaches the same subjects through
-    department-membership subqueries over org_hierarchy and is attached
-    as closed_query; both forms evaluate identically whenever no
-    subordinate is known-invalid.
+    Branches are built from the base branches' roles (Branch): a
+    subordinate's branch is the supervisor's without the range gates and
+    with the identity pinned to the subordinate's name; the user's
+    conditions are copied verbatim. In narrative mode subordinates whose
+    reported context fails the route check are dropped. The closed form
+    replaces the identity by department membership over org_hierarchy and
+    is attached as closed_query; both forms evaluate identically whenever
+    no subordinate is known-invalid.
 
     Neither form is built here: each is built when first read. The VPD is
     evaluated from its groups (_union_groups), which cost O(base branches
     + subordinates), not a Select per subordinate.
     """
+    if supervisor_mode not in linkage.SUPERVISOR_MODES:
+        raise ValueError(f"unknown supervisor mode: {supervisor_mode!r}")
     subs = sorted(linkage.subordinates(s, d),
                   key=lambda name: d.subject_by_name[name].id)
     if not subs:
@@ -350,10 +364,6 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
     for sub in subs:
         invalid = supervisor_mode == "narrative" and subordinate_known_invalid(sub, d, contexts)
         (dropped if invalid else kept).append(sub)
-    base_branches = union_branches(base.query)
-    # rewrite puts linkage.link's session-identity predicate first in each
-    # branch, after the two range gates of a wireless session.
-    slot = 2 if base.location_dependent else 0
 
     provenance = base.provenance + (f"supervisor:{supervisor_mode}",
                                     f"subordinates:{','.join(subs)}")
@@ -364,69 +374,49 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
         subject=s,
         location_dependent=base.location_dependent,
         time_dependent=base.time_dependent,
-        query=lambda: _expanded_union(base_branches, s, kept),
+        query=lambda: _expanded_union(base.branches, s, kept),
         provenance=provenance,
-        closed_query=lambda: _closed_union(base_branches, s, d),
-        groups=_union_groups(base_branches, slot, s, kept))
+        closed_query=lambda: _closed_union(base.branches, s, d),
+        groups=_union_groups(base.branches, s, kept),
+        branches=base.branches)
 
 
-def _expanded_union(base_branches: list[Select], s: str, kept: list[str]) -> Query:
+def _expanded_union(branches: tuple[Branch, ...], s: str, kept: list[str]) -> Query:
     """The supervisor's own branches (gates kept), then each kept
     subordinate's gate-free branches, pinned by name."""
-    own = [_instantiate(sel, s, strip_gates=False) for sel in base_branches]
-    return _union_of(own + [_instantiate(sel, sub, strip_gates=True)
-                            for sub in kept for sel in base_branches])
+    return _union_of([b.select(s) for b in branches]
+                     + [b.select(sub, gated=False) for sub in kept for b in branches])
 
 
-def _closed_union(base_branches: list[Select], s: str, d: Dataset) -> Query:
+def _closed_union(branches: tuple[Branch, ...], s: str, d: Dataset) -> Query:
     """The own branches, then per hierarchy level the gate-free branches
-    with the identity slot (first, once ungated) swapped for department
-    membership."""
-    closed = [_instantiate(sel, s, strip_gates=False) for sel in base_branches]
+    with the identity replaced by department membership."""
+    closed = [b.select(s) for b in branches]
     dept = d.subject_by_name[s].dept
     for depth in range(1, len(linkage.sub_ou_levels(dept, d)) + 1):
         membership = _dept_membership(depth, dept)
-        for sel in base_branches:
-            pinned = _instantiate(sel, s, strip_gates=True)
-            closed.append(replace(pinned, where=(membership,) + pinned.where[1:]))
+        closed += [b.select(membership, gated=False) for b in branches]
     return _union_of(closed)
 
 
-def _union_groups(base_branches: list[Select], slot: int, s: str,
-                  kept: list[str]) -> tuple[tuple[Select, tuple[int, dict] | None], ...] | None:
-    """The (Select, pin) pairs that evaluate as _expanded_union, without building it.
+def _union_groups(branches: tuple[Branch, ...], s: str,
+                  kept: list[str]) -> tuple[tuple[Select, tuple[int, dict]], ...] | None:
+    """The (Select, pin) pairs that evaluate as the expanded union, without building it.
 
-    A branch pinned to a subject differs from its base branch only at the
-    identity slot, `slot` in the base branch and first once ungated. So
-    each base branch is one Select pinned there to the supervisor and one
-    ungated Select pinned to every kept subordinate; equal Selects merge
-    in first-seen order (a wired supervisor's own Selects are its
-    subordinates'). A branch whose user condition names
-    sys_context:session_user again is pinned at two predicates, so it
-    stays one fully pinned Select per name, in the union's branch order.
-    None when the union is one Select, which has bag semantics.
+    Each base branch is one Select pinned at its identity to the
+    supervisor, and one without its range gates pinned at its identity to
+    every kept subordinate; equal Selects merge in first-seen order (a
+    wired supervisor's own Selects are its subordinates'). None when the
+    union is one Select, which has bag semantics.
     """
-    if len(base_branches) == 1 and not kept:
+    if len(branches) == 1 and not kept:
         return None
-    groups: dict[Select, tuple[int, dict] | None] = {}
-
-    def pin(sel: Select, k: int, names) -> None:
-        groups.setdefault(sel, (k, {}))[1].update(dict.fromkeys(names))
-
-    twice = [any(map(_is_identity, sel.where[slot + 1:])) for sel in base_branches]
-    for sel, pinned_twice in zip(base_branches, twice):
-        if pinned_twice:
-            groups.setdefault(_instantiate(sel, s, strip_gates=False), None)
-        else:
-            pin(sel, slot, (s,))
-    # Subordinate by subordinate, as the union lists them; a pinnable
-    # branch takes every kept name where the first one appears.
-    for n, sub in enumerate(kept if any(twice) else kept[:1]):
-        for sel, pinned_twice in zip(base_branches, twice):
-            if pinned_twice:
-                groups.setdefault(_instantiate(sel, sub, strip_gates=True), None)
-            elif n == 0:
-                pin(replace(sel, where=_ungated(sel.where)), 0, kept)
+    groups: dict[Select, tuple[int, dict]] = {}
+    for b in branches:
+        groups.setdefault(b.select(), (len(b.gates), {}))[1][s] = None
+    if kept:
+        for b in branches:
+            groups.setdefault(b.select(gated=False), (0, {}))[1].update(dict.fromkeys(kept))
     return tuple(groups.items())
 
 

@@ -134,6 +134,23 @@ def test_simulate_invalid_scenario_exits_1_without_traceback(tmp_path):
     assert not (tmp_path / "events.jsonl").exists()
 
 
+def test_simulate_replays_a_scenario_whose_only_violations_are_time_regressions(capsys,
+                                                                                 tmp_path):
+    handover = str(relstore.bundled_data_dir("handover"))
+    logins = [{"at": "2010-07-02T01:30:00Z", "action": "login", "subject": "Zoe"},
+              {"at": "2010-07-02T01:40:00Z", "action": "login", "subject": "Bruno"}]
+    logs = []
+    for name, steps in (("in-order", logins), ("reversed", logins[::-1])):
+        scenario, out_path = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+        scenario.write_text(json.dumps({"name": name, "steps": steps}))
+        code, out, err = run(capsys, "simulate", "--data", handover,
+                             "--scenario", str(scenario), "--out", str(out_path))
+        assert (code, out.strip(), err) == (0, str(out_path), "")
+        logs.append(out_path.read_text())
+    assert logs[0] == logs[1]
+    assert [json.loads(line)["subject"] for line in logs[0].splitlines()] == ["Zoe", "Bruno"]
+
+
 SCHEMA_CASES = {
     "fk-missing-to": ({"foreign_keys": [{"from": "subject.id"}]},
                       "error: foreign_keys (row 0): missing key 'to'"),

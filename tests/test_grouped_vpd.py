@@ -82,7 +82,7 @@ QUERIES = (
     "select object.name from object",  # names repeat: bag and set results differ
     "select * from object union select * from object",  # equal shapes merge
     "select object.name from object union select object.oid from object",
-    # A second session-identity predicate: one fully pinned Select per name.
+    # The user's own session-identity condition, copied verbatim into every branch.
     "select object.* from object, subject where subject.name = sys_context:session_user",
 )
 
@@ -140,8 +140,11 @@ def test_session_user_request_is_materialized_without_the_union(fixture_dataset,
     materialized = [materialize(vpd, d, ctx) for ctx, _, vpd in cases]
     monkeypatch.undo()
 
-    assert all(rows.rows for (_, chain, _), rows in zip(cases, materialized)
-               if chain != "direct")  # the fixture's staff send and receive nothing
+    # Every branch keeps the condition naming Chris, so only his own
+    # workflow chain (he rides t1) yields rows: he has no specialty, and
+    # the fixture's staff send and receive nothing.
+    assert [bool(rows.rows) for rows in materialized] == \
+        [chain == "workflow" for _, chain, _ in cases]
     for (ctx, chain, vpd), rows in zip(cases, materialized):
         assert vpd.groups is not None, chain
         assert Counter(rows.rows) == Counter(oracle.nested_loop_evaluate(vpd.query, d, ctx).rows)
@@ -187,15 +190,15 @@ def test_root_run_query_builds_no_select_per_subordinate(monkeypatch):
     def no_union(*args, **kwargs):
         raise AssertionError("the union was built")
 
-    real_instantiate = vpdrewrite._instantiate
+    real_select = vpdrewrite.Branch.select
 
-    def own_only(sel, name, *, strip_gates):
-        if name != "Boss":
-            raise AssertionError(f"a branch was built for {name}")
-        return real_instantiate(sel, name, strip_gates=strip_gates)
+    def own_only(branch, who=None, gated=True):
+        if who not in (None, "Boss"):
+            raise AssertionError(f"a branch was built for {who}")
+        return real_select(branch, who, gated)
 
     monkeypatch.setattr(vpdrewrite, "_expanded_union", no_union)
-    monkeypatch.setattr(vpdrewrite, "_instantiate", own_only)
+    monkeypatch.setattr(vpdrewrite.Branch, "select", own_only)
     outcomes = {(chain, mode): engine.run_query(d, ctx, Q, chain_mode=chain,
                                                 supervisor_mode=mode)
                 for chain in ("workflow", "direct") for mode in ("narrative", "strict")}

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -58,6 +59,32 @@ def test_org_cycle_reported():
     report = validate_dataset(d)
     assert len(report) == 1
     assert report.violations[0].kind == "cycle"
+
+
+def _org_chain(levels: int, *, closed: bool) -> dict:
+    """org_hierarchy u0 -> u1 -> ... of `levels` units, its bottom closed back to u0."""
+    edges = [{"ou": f"u{k}", "sub_ou": f"u{k + 1}"} for k in range(levels - 1)]
+    if closed:
+        edges.append({"ou": f"u{levels - 1}", "sub_ou": "u0"})
+    return {"org_hierarchy": edges}
+
+
+def test_deep_org_chain_loads_and_a_cycle_at_its_bottom_is_reported(tmp_path, capsys):
+    from vpdgate import cli
+
+    d = load_dataset(_org_chain(1500, closed=False))
+    assert len(d.org_edges) == 1499
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(_org_chain(1500, closed=False)))
+    assert cli.main(["load", "--data", str(path)]) == 0
+    assert "org_edges: 1499" in capsys.readouterr().out
+
+    doc = _org_chain(1500, closed=True)
+    cycle = " -> ".join([f"u{k}" for k in range(1500)] + ["u0"])
+    with pytest.raises(IntegrityError) as err:
+        load_dataset(doc)
+    assert str(err.value) == \
+        f"org_hierarchy[u0] cycle: organizational units form a cycle: {cycle}"
 
 
 def test_departure_not_before_arrival_reported(fixture_dataset):
