@@ -35,8 +35,14 @@ EXIT_REFUSED = 2
 DATA_DIR_ENV = "VPDGATE_DATA"
 
 
-def _default_state_path(data_dir: str) -> Path:
-    return Path(data_dir) / ".vpdgate-sessions.json"
+def _state_path(args) -> Path:
+    """--state, else a file inside the data directory or beside the data file."""
+    if args.state:
+        return Path(args.state)
+    data = Path(args.data)
+    if data.is_dir():
+        return data / ".vpdgate-sessions.json"
+    return data.with_name(f".{data.name}.vpdgate-sessions.json")
 
 
 @contextmanager
@@ -52,7 +58,14 @@ def _locked_state(path: Path):
     with open(lock_path, "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         try:
-            state = json.loads(path.read_text()) if path.exists() else {"sessions": {}}
+            try:
+                state = json.loads(path.read_text()) if path.exists() else {}
+            except ValueError as exc:
+                raise VpdGateError(f"state file {path}: {exc}") from None
+            if not (isinstance(state, dict)
+                    and isinstance(state.setdefault("sessions", {}), dict)):
+                raise VpdGateError(f"state file {path}: expected a JSON object whose "
+                                   "sessions is an object")
             before = json.dumps(state, indent=2)
             yield state
             after = json.dumps(state, indent=2)
@@ -152,18 +165,16 @@ def cmd_login(args) -> int:
         location = (args.lat, args.lon)
     timestamp = parse_timestamp(args.time) if args.time else None
     ctx = open_session(args.user, location, timestamp, d)
-    state_path = Path(args.state) if args.state else _default_state_path(args.data)
-    with _locked_state(state_path) as state:
+    with _locked_state(_state_path(args)) as state:
         state["sessions"][ctx.session_id] = _session_to_dict(ctx)
     print(ctx.session_id)
     return EXIT_OK
 
 
 def _resolve_session(args, d) -> tuple[SessionContext, dict[str, SessionContext]]:
-    state_path = Path(args.state) if args.state else _default_state_path(args.data)
-    with _locked_state(state_path) as state:
+    with _locked_state(_state_path(args)) as state:
         sessions = {sid: _session_from_dict(sid, doc, d)
-                    for sid, doc in state.get("sessions", {}).items()}
+                    for sid, doc in state["sessions"].items()}
     by_user = latest_by_user(sessions.values())
     if getattr(args, "session", None):
         ctx = sessions.get(args.session)
@@ -282,7 +293,8 @@ def _add_common(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--data", default=os.environ.get(DATA_DIR_ENV),
                      help=f"dataset directory or JSON file (default: ${DATA_DIR_ENV})")
     cmd.add_argument("--state", default=None,
-                     help="session state file (default: <data>/.vpdgate-sessions.json)")
+                     help="session state file (default: .vpdgate-sessions.json in a data "
+                          "directory, .<file>.vpdgate-sessions.json beside a data file)")
     cmd.add_argument("--manifest", default=None,
                      help="schema manifest JSON overriding the dataset's own")
     cmd.add_argument("--corridor-km", type=float, default=None,
@@ -364,7 +376,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     try:
         return COMMANDS[args.command](args)
-    except (VpdGateError, ValueError) as exc:
+    except (VpdGateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -113,8 +113,7 @@ def check_validity(s: str, ctx: SessionContext, d: Dataset,
 
 def on_context_update(s: str, new_ctx: SessionContext, d: Dataset,
                       prior: GrantState | None, *, mode: str = "narrative",
-                      contexts: ContextMap | None = None,
-                      now: datetime | None = None) -> tuple[GrantState, list[AccessEvent]]:
+                      contexts: ContextMap | None = None) -> tuple[GrantState, list[AccessEvent]]:
     """Recompute validity after a context change and emit transition events.
 
     GRANT fires on the invalid-to-valid edge, REVOKE on valid-to-invalid,
@@ -123,8 +122,7 @@ def on_context_update(s: str, new_ctx: SessionContext, d: Dataset,
     VPD_CHANGED event whenever s's validity flips.
     """
     state = check_validity(s, new_ctx, d, mode, contexts)
-    at = now or new_ctx.timestamp or new_ctx.opened_at
-    state = replace(state, since=at)
+    at = state.since
 
     was_valid = prior is not None and prior.valid
     never_granted = prior is None or prior.state == DENIED

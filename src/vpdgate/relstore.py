@@ -17,7 +17,9 @@ empty caches, so no cache can go stale.
 Sources are either a directory of CSV files (one per table, headers in
 lower_snake_case, plus geocode.csv mapping place names to coordinates and
 an optional schema.json), a single JSON document with one array per
-table, or an equivalent in-memory dict / JSON string.
+table, or an equivalent in-memory dict / JSON string. The CSV reader
+turns its rows into that document form, so one builder (_from_doc) makes
+the records of both and names a bad row by file and line or table and row.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import IntegrityError, ParseError, UnknownColumnError
@@ -301,11 +304,20 @@ def _grouped(pairs) -> dict:
     return {key: tuple(values) for key, values in out.items()}
 
 
-def _absent(value: str | None) -> str | None:
+def _absent(row: dict, key: str) -> str | None:
+    """row[key], or None when it is missing, empty or "-"."""
+    value = row.get(key)
     if value is None:
         return None
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, not {type(value).__name__}")
     value = value.strip()
     return None if value in ("", "-") else value
+
+
+def _date(row: dict, key: str) -> date | None:
+    value = _absent(row, key)
+    return None if value is None else parse_date(value)
 
 
 def _parse_bound(text: str, *, end_of_day: bool) -> datetime:
@@ -318,7 +330,8 @@ def _parse_bound(text: str, *, end_of_day: bool) -> datetime:
     return day_end(d) if end_of_day else day_start(d)
 
 
-def _read_csv(path: Path, expected: tuple[str, ...]) -> list[dict[str, str]]:
+def _read_csv(path: Path, expected: tuple[str, ...]) -> list[dict]:
+    """The rows of a CSV file as dicts, each with its line number under "_line"."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = tuple(reader.fieldnames or ())
@@ -329,105 +342,58 @@ def _read_csv(path: Path, expected: tuple[str, ...]) -> list[dict[str, str]]:
         for i, row in enumerate(reader, start=2):
             if any(v is None for v in row.values()) or None in row:
                 raise ParseError("wrong number of fields", source=path.name, line=i)
-            row["_line"] = str(i)
+            row["_line"] = i
             rows.append(row)
         return rows
 
 
-def _load_geocodes(path: Path) -> dict[str, Point]:
+def _load_geocodes(path: Path) -> dict[str, dict]:
+    """Place name -> its {name, lat, lon} form, as a JSON carrier row holds it."""
     if not path.exists():
         return {}
-    out: dict[str, Point] = {}
+    out: dict[str, dict] = {}
     for row in _read_csv(path, ("name", "lat", "lon")):
         try:
-            out[row["name"]] = (float(row["lat"]), float(row["lon"]))
+            out[row["name"]] = {"name": row["name"], "lat": float(row["lat"]),
+                                "lon": float(row["lon"])}
         except ValueError:
             raise ParseError("lat/lon must be decimal degrees",
-                             source=path.name, line=int(row["_line"])) from None
+                             source=path.name, line=row["_line"]) from None
     return out
 
 
-def _build_carrier(cid: str, origin: Place, destination: Place,
-                   departure: datetime, arrival: datetime,
-                   waypoints: tuple[Point, ...] | None,
-                   manifest: SchemaManifest) -> CarrierRecord:
-    points = waypoints or manifest.waypoints_for(cid) or (origin.point, destination.point)
-    return CarrierRecord(id=cid, origin=origin, destination=destination,
-                         waypoints=tuple(points), departure=departure, arrival=arrival)
-
-
 def _from_csv_dir(root: Path) -> Dataset:
-    manifest_path = root / "schema.json"
-    manifest = SchemaManifest()
-    if manifest_path.exists():
-        manifest = SchemaManifest.from_dict(json.loads(manifest_path.read_text()))
+    """The CSV tables read into the JSON document form that _from_doc builds."""
+    doc: dict = {name: _read_csv(root / f"{name}.csv", columns)
+                 for name, columns in TABLE_COLUMNS.items() if (root / f"{name}.csv").exists()}
+    if (root / "schema.json").exists():
+        doc["schema"] = json.loads((root / "schema.json").read_text())
     geocodes = _load_geocodes(root / "geocode.csv")
-
-    def rows(name: str) -> list[dict[str, str]]:
-        path = root / f"{name}.csv"
-        return _read_csv(path, TABLE_COLUMNS[name]) if path.exists() else []
-
-    subjects = tuple(
-        SubjectRecord(id=r["id"], name=r["name"], title=r["title"],
-                      specialty=_absent(r["specialty"]), dept=r["dept"])
-        for r in rows("subject"))
-    assignments = tuple(
-        AssignmentRecord(subject_id=r["id"], carrier_id=r["truck"])
-        for r in rows("assignment"))
-
-    carriers = []
-    for r in rows("carrier"):
-        line = int(r["_line"])
-        places = []
+    for r in doc.get("carrier", ()):
         for field_name in ("origin", "destination"):
-            name = r[field_name]
-            if name not in geocodes:
+            if r[field_name] not in geocodes:
                 raise IntegrityError(
-                    f"carrier {r['id']!r}: no geocode for {field_name} {name!r}")
-            places.append(Place(name, *geocodes[name]))
-        try:
-            departure = _parse_bound(r["departure"], end_of_day=False)
-            arrival = _parse_bound(r["arrival"], end_of_day=True)
-        except ValueError as exc:
-            raise ParseError(str(exc), source="carrier.csv", line=line) from None
-        carriers.append(_build_carrier(r["id"], places[0], places[1],
-                                       departure, arrival, None, manifest))
-
-    objects = []
-    for r in rows("object"):
-        line = int(r["_line"])
-        ship_out = _absent(r["ship_out"])
-        receive_in = _absent(r["receive_in"])
-        try:
-            objects.append(ObjectRecord(
-                oid=r["oid"], name=r["name"], sender=r["sender"], receiver=r["receiver"],
-                carrier_id=_absent(r["truck"]), origin=r["origin"],
-                destination=r["destination"],
-                ship_out=parse_date(ship_out) if ship_out else None,
-                receive_in=parse_date(receive_in) if receive_in else None))
-        except ValueError as exc:
-            raise ParseError(f"bad date: {exc}", source="object.csv", line=line) from None
-
-    org_edges = tuple(OrgEdge(ou=r["ou"], sub_ou=r["sub_ou"]) for r in rows("org_hierarchy"))
-    return Dataset(subjects=subjects, assignments=assignments, carriers=tuple(carriers),
-                   objects=tuple(objects), org_edges=org_edges, manifest=manifest)
+                    f"carrier {r['id']!r}: no geocode for {field_name} {r[field_name]!r}")
+            r[field_name] = geocodes[r[field_name]]
+    return _from_doc(doc)
 
 
 def _doc_rows(doc: dict, table: str, build) -> tuple:
     """build(row) for each row of doc[table], in order.
 
     A row that build cannot read (a missing key, a value of the wrong
-    type or form) raises ParseError naming the table and the row index,
-    as the CSV path names the line.
+    type or form) raises ParseError naming its file and line if it is a
+    CSV row (which carries "_line"), else its table and index.
     """
-    out = []
+    out, r = [], None
     try:
         for r in doc.get(table, ()):
             out.append(build(r))
-    except KeyError as exc:
-        raise ParseError(f"missing key {exc}", source=table, field=f"row {len(out)}") from None
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise ParseError(str(exc), source=table, field=f"row {len(out)}") from None
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        if isinstance(r, dict) and "_line" in r:
+            raise ParseError(message, source=f"{table}.csv", line=r["_line"]) from None
+        raise ParseError(message, source=table, field=f"row {len(out)}") from None
     return tuple(out)
 
 
@@ -435,30 +401,52 @@ def _place(doc: dict) -> Place:
     return Place(doc["name"], float(doc["lat"]), float(doc["lon"]))
 
 
+def _check_text(table: str, records: tuple, **fields: str) -> None:
+    """Refuse a text field (name=record attribute) that is not a string, as JSON
+    may give, naming table, row and field. One type set per field keeps it cheap."""
+    for name, attribute in fields.items():
+        get = attrgetter(attribute)
+        if set(map(type, map(get, records))) - {str}:
+            n = next(n for n, r in enumerate(records) if type(get(r)) is not str)
+            raise ParseError(f"{name} must be a string, not {type(get(records[n])).__name__}",
+                             source=table, field=f"row {n}")
+
+
 def _from_doc(doc: dict) -> Dataset:
     if not isinstance(doc, dict):
         raise ParseError(f"a dataset must be a JSON object, not {type(doc).__name__}")
-    manifest = SchemaManifest.from_dict(doc.get("schema", {})) if doc.get("schema") \
+    manifest = SchemaManifest.from_dict(doc["schema"]) if doc.get("schema") \
         else SchemaManifest()
+
+    def carrier(r: dict) -> CarrierRecord:
+        cid, origin, destination = r["id"], _place(r["origin"]), _place(r["destination"])
+        departure = _parse_bound(r["departure"], end_of_day=False)
+        arrival = _parse_bound(r["arrival"], end_of_day=True)
+        points = tuple((float(lat), float(lon)) for lat, lon in r.get("waypoints", ()))
+        return CarrierRecord(id=cid, origin=origin, destination=destination,
+                             waypoints=points or manifest.waypoints_for(cid)
+                             or (origin.point, destination.point),
+                             departure=departure, arrival=arrival)
 
     subjects = _doc_rows(doc, "subject", lambda r: SubjectRecord(
         id=r["id"], name=r["name"], title=r.get("title", ""),
-        specialty=_absent(r.get("specialty")), dept=r["dept"]))
+        specialty=_absent(r, "specialty"), dept=r["dept"]))
     assignments = _doc_rows(doc, "assignment", lambda r: AssignmentRecord(
         subject_id=r["id"], carrier_id=r["truck"]))
-    carriers = _doc_rows(doc, "carrier", lambda r: _build_carrier(
-        r["id"], _place(r["origin"]), _place(r["destination"]),
-        _parse_bound(r["departure"], end_of_day=False),
-        _parse_bound(r["arrival"], end_of_day=True),
-        tuple((float(lat), float(lon)) for lat, lon in r.get("waypoints", ())) or None,
-        manifest))
+    carriers = _doc_rows(doc, "carrier", carrier)
     objects = _doc_rows(doc, "object", lambda r: ObjectRecord(
         oid=r["oid"], name=r["name"], sender=r["sender"], receiver=r["receiver"],
-        carrier_id=_absent(r.get("truck")), origin=r.get("origin", ""),
+        carrier_id=_absent(r, "truck"), origin=r.get("origin", ""),
         destination=r.get("destination", ""),
-        ship_out=parse_date(r["ship_out"]) if _absent(r.get("ship_out")) else None,
-        receive_in=parse_date(r["receive_in"]) if _absent(r.get("receive_in")) else None))
+        ship_out=_date(r, "ship_out"), receive_in=_date(r, "receive_in")))
     org_edges = _doc_rows(doc, "org_hierarchy", lambda r: OrgEdge(ou=r["ou"], sub_ou=r["sub_ou"]))
+    _check_text("subject", subjects, id="id", name="name", title="title", dept="dept")
+    _check_text("assignment", assignments, id="subject_id", truck="carrier_id")
+    _check_text("carrier", carriers, id="id", origin="origin.name",
+                destination="destination.name")
+    _check_text("object", objects, oid="oid", name="name", sender="sender",
+                receiver="receiver", origin="origin", destination="destination")
+    _check_text("org_hierarchy", org_edges, ou="ou", sub_ou="sub_ou")
     return Dataset(subjects=subjects, assignments=assignments, carriers=carriers,
                    objects=objects, org_edges=org_edges, manifest=manifest)
 

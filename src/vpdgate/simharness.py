@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .engine import run_query
-from .errors import ScenarioError, VpdGateError
+from .errors import ScenarioError, UnknownColumnError, VpdGateError
 from .geo import Point, as_point
 from .lifecycle import AccessEvent, GrantState, on_context_update
 from .linkage import CHAIN_MODES
@@ -120,6 +120,8 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         doc = source
     else:
         doc = json.loads(Path(source).read_text(encoding="utf-8"))
+    if not (isinstance(doc, dict) and isinstance(doc.get("steps", []), list)):
+        raise ScenarioError("a scenario must be a JSON object whose steps is a list")
     steps = tuple(_step_from_dict(s, i) for i, s in enumerate(doc.get("steps", ())))
     return Scenario(name=doc.get("name", "scenario"), steps=steps)
 
@@ -221,7 +223,7 @@ def run_scenario(sc: Scenario, d: Dataset, *, supervisor_mode: str = "narrative"
                              contexts=context_map(now)).rows
             try:
                 oids = tuple(sorted(set(rows.column("oid"))))
-            except Exception:
+            except UnknownColumnError:
                 oids = tuple(str(r) for r in rows.sorted_rows())
             query_results.append((step.at.isoformat(), step.subject, oids))
 
@@ -231,7 +233,7 @@ def run_scenario(sc: Scenario, d: Dataset, *, supervisor_mode: str = "narrative"
         for subject in order:
             state, evs = on_context_update(subject, contexts[subject], dataset,
                                            states.get(subject), mode=supervisor_mode,
-                                           contexts=contexts, now=now)
+                                           contexts=contexts)
             states[subject] = state
             events.extend(evs)
 

@@ -312,3 +312,48 @@ def test_malformed_state_file_session_errors(capsys, state_file, changes):
     assert code == 1
     assert f"malformed session {session_id!r}" in err
     assert "Traceback" not in err
+
+
+def test_json_data_file_keeps_its_session_state_beside_it(capsys, tmp_path):
+    data = tmp_path / "logistics.json"
+    data.write_text(relstore.dump_dataset(relstore.load_bundled("logistics")))
+    code, out, _ = run(capsys, "login", "--data", str(data), "--user", "Parker",
+                       "--lat", "39.4731", "--lon", "-98.0592",
+                       "--time", "2010-08-20T12:00:00Z")
+    assert code == 0
+    session_id = out.strip()
+    state = tmp_path / ".logistics.json.vpdgate-sessions.json"
+    assert session_id in json.loads(state.read_text())["sessions"]
+    for argv in (["query", "--session", session_id, "select * from object"],
+                 ["vpd", "--session", session_id],
+                 ["explain", "--session", session_id, "select * from object"],
+                 ["oracle", "--session", session_id],
+                 ["query", "--subject", "Chris", "select * from object"]):
+        code, _, err = run(capsys, argv[0], "--data", str(data), *argv[1:])
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("text", ["[]", '{"sessions": []}', '{"sessions": 5}', "{"],
+                         ids=["list", "sessions-a-list", "sessions-a-number", "not-json"])
+@pytest.mark.parametrize("command", ["login", "query"])
+def test_malformed_state_file_is_one_error_line(capsys, state_file, text, command):
+    Path(state_file).write_text(text)
+    argv = (["--user", "Parker"] if command == "login"
+            else ["--subject", "Parker", "select * from object"])
+    code, _, err = run(capsys, command, "--data", DATA, "--state", state_file, *argv)
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: state file {state_file}: ")
+    assert Path(state_file).read_text() == text
+
+
+@pytest.mark.parametrize("option", ["--scenario", "--manifest"])
+def test_missing_scenario_or_manifest_file_is_one_error_line(capsys, tmp_path, option):
+    missing = tmp_path / "missing.json"
+    argv = {"--scenario": ["simulate", "--data", str(relstore.bundled_data_dir("handover")),
+                           "--scenario", str(missing), "--out", str(tmp_path / "e.jsonl")],
+            "--manifest": ["load", "--data", DATA, "--manifest", str(missing)]}[option]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(missing) in err

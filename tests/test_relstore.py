@@ -1,5 +1,6 @@
 import json
 import random
+import shutil
 
 import pytest
 
@@ -147,6 +148,37 @@ def test_missing_geocode_is_integrity_error(tmp_path):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["logistics", "handover"])
+def test_csv_load_equals_the_load_of_its_json_dump(name):
+    d = relstore.load_bundled(name)
+    assert d == load_dataset(dump_dataset(d))
+
+
+def _bundled_copy(tmp_path, table: str, line: int, column: str, value: str):
+    """The bundled logistics CSV directory with one field of table.csv replaced."""
+    root = tmp_path / "logistics"
+    shutil.copytree(relstore.bundled_data_dir("logistics"), root)
+    path = root / f"{table}.csv"
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[line - 1].split(",")
+    fields[header.index(column)] = value
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return root
+
+
+@pytest.mark.parametrize("table, column, value", [
+    ("object", "ship_out", "2010-13-45"),
+    ("carrier", "departure", "soon"),
+], ids=["bad-date", "bad-departure"])
+def test_malformed_csv_row_is_parse_error_naming_file_and_line(tmp_path, table, column, value):
+    root = _bundled_copy(tmp_path, table, 3, column, value)
+    with pytest.raises(ParseError) as err:
+        load_dataset(root)
+    assert str(err.value).startswith(f"{table}.csv:3: ")
+
+
 def test_table_view_exposes_strings(fixture_dataset):
     cols, rows = fixture_dataset.table("carrier")
     assert cols == ("id", "origin", "destination", "departure", "arrival")
@@ -200,8 +232,14 @@ GOLD = {"oid": "o1", "name": "Gold", "sender": "s1", "receiver": "s2"}
     ("carrier", [_carrier(), _carrier(id="t2", departure="soon")],
      "carrier (row 1): bad timestamp 'soon'"),
     ("carrier", [_carrier(destination="Oslo")], "carrier (row 0): string indices"),
+    ("org_hierarchy", [{"ou": "A", "sub_ou": "B"}, {"ou": ["x"], "sub_ou": "y"}],
+     "org_hierarchy (row 1): ou must be a string, not list"),
+    ("subject", [{"id": "s1", "name": 7, "dept": "X"}],
+     "subject (row 0): name must be a string, not int"),
+    ("object", [GOLD, {**GOLD, "oid": "o2", "truck": 5}],
+     "object (row 1): truck must be a string, not int"),
 ], ids=["missing-key", "non-numeric-coordinate", "bad-date", "bad-timestamp",
-        "non-object-origin"])
+        "non-object-origin", "list-ou", "number-name", "number-truck"])
 def test_malformed_json_row_is_parse_error_naming_table_and_row(table, rows, message):
     with pytest.raises(ParseError) as err:
         load_dataset({table: rows})

@@ -200,6 +200,15 @@ def test_load_refuses_malformed_step(step, message):
         load_scenario({"name": "bad", "steps": steps})
 
 
+@pytest.mark.parametrize("doc", [[], {"steps": 5}, {"steps": {"at": AT}}],
+                         ids=["list", "steps-a-number", "steps-an-object"])
+def test_load_refuses_a_scenario_that_is_not_an_object_with_a_step_list(tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match="^a scenario must be a JSON object"):
+        load_scenario(path)
+
+
 # Names that resolve in the handover dataset, plus one of each kind that does not.
 SUBJECTS = ["Xavier", "Victor", "Wendy", "Dana", "Elliot", "Zoe", "Bruno", "Ghost"]
 CARRIERS = ["ship1", "truck1", "zeppelin9"]
