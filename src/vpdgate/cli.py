@@ -93,8 +93,7 @@ def _load_data(args) -> relstore.Dataset:
     d = relstore.load_dataset(args.data)
     manifest = d.manifest
     if getattr(args, "manifest", None):
-        manifest = relstore.SchemaManifest.from_dict(
-            json.loads(Path(args.manifest).read_text()))
+        manifest = relstore.SchemaManifest.from_dict(relstore.read_json(Path(args.manifest)))
     if getattr(args, "corridor_km", None) is not None:
         manifest = dataclasses.replace(manifest, corridor_km=args.corridor_km)
     if manifest is not d.manifest:

@@ -1,8 +1,11 @@
-"""The request pipeline: validity gate, rewrite, materialize, entail.
+"""The request pipeline: validity gate, rewrite, then materialize and entail.
 
 run_query is the one pipeline: the CLI, the scenario runner and the
 privacy residual go through it. It contains no authorization logic of
-its own, it only sequences lifecycle and vpdrewrite calls.
+its own, it only sequences lifecycle and vpdrewrite calls. The verdict
+comes first, so a refused request does no join: it returns no rows,
+with the schema its VPD would have, and its VPD is materialized only
+when a constraint policy must check its rows.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from .queryir import (Query, RowSet, parse_query, render_predicate, render_query
                       row_sort_key, union_branches)
 from .relstore import Dataset
 from .sessionctx import SessionContext
-from .vpdrewrite import ContextMap, VpdDefinition, entails, materialize
+from .vpdrewrite import ContextMap, VpdDefinition, entails, materialize, vpd_schema
 
 
 @dataclass(frozen=True)
@@ -29,16 +32,24 @@ class QueryOutcome:
 def run_query(d: Dataset, ctx: SessionContext, query: str | Query | None = None, *,
               chain_mode: str = "workflow", supervisor_mode: str = "narrative",
               contexts: ContextMap | None = None, policies=()) -> QueryOutcome:
-    """Decide, rewrite and materialize one request (None: lifecycle.DEFAULT_QUERY)."""
+    """Decide, rewrite and, when granted, materialize one request
+    (None: lifecycle.DEFAULT_QUERY).
+
+    A refused request gets an empty RowSet with its VPD's schema
+    (vpd_schema), and its VPD is joined only inside entails, when a
+    constraint policy is set. So a WHERE clause that fails only when
+    evaluated raises for a granted request and not for a refused one; a
+    UNION whose branches differ in arity raises either way.
+    """
     if isinstance(query, str):
         query = parse_query(query)
     state = check_validity(ctx.user, ctx, d, supervisor_mode, contexts)
     vpd = build_vpd(ctx, d, query, chain_mode=chain_mode,
                     supervisor_mode=supervisor_mode, contexts=contexts)
-    rows = materialize(vpd, d, ctx)
+    rows = materialize(vpd, d, ctx) if state.valid else None
     entailed, witness = entails(policies, vpd, d, ctx, contexts=contexts, rows=rows)
-    if not state.valid:
-        rows = RowSet(rows.schema, ())
+    if rows is None:
+        rows = RowSet(vpd_schema(vpd, d), ())
     return QueryOutcome(state=state, vpd=vpd, rows=rows, entailed=entailed, witness=witness)
 
 

@@ -14,7 +14,8 @@ modes exist:
   supervisor's union, the supervisor itself stays granted;
 * strict: any moving subordinate whose known context fails the route
   check revokes the supervisor wholesale. No VPD text expresses this
-  revocation; only the outer gate of engine.run_query enforces it.
+  revocation; engine.run_query enforces it by deciding first and not
+  evaluating the VPD of a revoked request.
 
 States and events are plain values; nothing here caches a
 materialization across context or dataset changes.
@@ -103,11 +104,9 @@ def check_validity(s: str, ctx: SessionContext, d: Dataset,
         state = _WIRELESS_STATE.get(reason, REVOKED)
         return GrantState(s, ctx.session_id, state, since, reason)
 
-    if mode == "strict":
-        for sub in sorted(linkage.subordinates(s, d)):
-            if subordinate_known_invalid(sub, d, contexts):
-                return GrantState(s, ctx.session_id, REVOKED, since,
-                                  REASON_STRICT_SUBORDINATE)
+    if mode == "strict" and any(subordinate_known_invalid(sub, d, contexts)
+                                for sub in linkage.subordinates(s, d)):
+        return GrantState(s, ctx.session_id, REVOKED, since, REASON_STRICT_SUBORDINATE)
     return GrantState(s, ctx.session_id, GRANTED, since, REASON_IN_RANGE)
 
 

@@ -201,12 +201,29 @@ def organization(s1: str, s2: str, d: Dataset) -> bool:
     return a.dept in sub_ou_closure(b.dept, d)
 
 
-def subordinates(s: str, d: Dataset) -> set[str]:
+def subordinates(s: str, d: Dataset) -> frozenset[str]:
     """All subject names s' with organization(s', s)."""
-    subj = _subject(s, d)
-    by_dept = d.subjects_by_dept
-    return {other.name for ou in sub_ou_closure(subj.dept, d)
-            for other in by_dept.get(ou, ())}
+    return _subordinates(s, d)[0]
+
+
+def subordinates_by_id(s: str, d: Dataset) -> tuple[str, ...]:
+    """subordinates(s, d) in subject-id order, the order of a supervisor's union."""
+    return _subordinates(s, d)[1]
+
+
+def _subordinates(s: str, d: Dataset) -> tuple[frozenset[str], tuple[str, ...]]:
+    """s's subordinates as a name set and in subject-id order, found once
+    per Dataset version (Dataset.subordinate_closures). Both are immutable,
+    so no caller can change a later answer."""
+    memo = d.subordinate_closures
+    entry = memo.get(s)
+    if entry is None:
+        by_dept = d.subjects_by_dept
+        names = frozenset(other.name for ou in sub_ou_closure(_subject(s, d).dept, d)
+                          for other in by_dept.get(ou, ()))
+        entry = (names, tuple(sorted(names, key=lambda name: d.subject_by_name[name].id)))
+        memo[s] = entry  # racing threads store equal entries
+    return entry
 
 
 def supervisors(s: str, d: Dataset) -> list[str]:

@@ -30,7 +30,8 @@ evaluated as a few pinned joins without building its wide UNION. Joins
 read candidate rows from the Dataset's lazily built per-column indexes
 instead of scanning tables, so a request costs in proportion to the rows
 it touches. A joined row is one flat tuple of its bound rows, projected
-by a C-level itemgetter; see _join.
+by a C-level itemgetter; see _join. union_schema gives the schema those
+pairs, or a UNION's branches, evaluate to without joining them.
 
 Parsing and evaluation are pure; Query and RowSet values are immutable.
 """
@@ -561,13 +562,37 @@ def evaluate_groups(groups, dataset, ctx=None) -> RowSet:
     parts = []
     for sel, pin in groups:
         branch_schema, rows = _select(sel, dataset, ctx, pin)
-        if schema is None:
-            schema = branch_schema
-        elif len(branch_schema) != len(schema):
-            raise VpdGateError(
-                f"UNION branches have different arity: {len(schema)} vs {len(branch_schema)}")
+        schema = _same_arity(schema, branch_schema)
         parts.append(rows)
     return RowSet(schema, tuple(dict.fromkeys(chain.from_iterable(parts))))
+
+
+def union_schema(selects, dataset) -> tuple[str, ...]:
+    """The schema the UNION of selects evaluates to, derived without joining:
+    the first Select's columns. Raises VpdGateError, as evaluating them
+    does, when two Selects differ in arity."""
+    schema: tuple[str, ...] | None = None
+    for sel in selects:
+        schema = _same_arity(schema, _columns(sel, dataset)[1])
+    return schema
+
+
+def _same_arity(schema: tuple[str, ...] | None, branch_schema: tuple[str, ...]):
+    """A UNION's schema after one more branch: the first branch's schema;
+    a branch of another arity is an error."""
+    if schema is None:
+        return branch_schema
+    if len(branch_schema) != len(schema):
+        raise VpdGateError(
+            f"UNION branches have different arity: {len(schema)} vs {len(branch_schema)}")
+    return schema
+
+
+def _columns(q: Select, dataset) -> tuple[_Scope, tuple[str, ...], tuple[int, ...]]:
+    """q's scope, its schema, and each projected column's joined-environment offset."""
+    scope = _Scope(q, dataset)
+    schema, flat = zip(*_projection_targets(q, scope))
+    return scope, schema, flat
 
 
 def _select(q: Select, dataset, ctx, pin: tuple[int, dict] | None = None):
@@ -579,8 +604,7 @@ def _select(q: Select, dataset, ctx, pin: tuple[int, dict] | None = None):
     (O(1) `in`, and an iteration order that does not depend on the hash
     seed, so neither does the row order).
     """
-    scope = _Scope(q, dataset)
-    schema, flat = zip(*_projection_targets(q, scope))
+    scope, schema, flat = _columns(q, dataset)
 
     # Row-independent gates first: a refused report empties the result.
     if not _gates_hold(q, dataset, ctx):

@@ -9,10 +9,11 @@ unlimited concurrent readers are safe.
 Each version builds its lookup structures lazily and keeps them: the
 per-(table, column) hash indexes the query evaluator probes (Dataset.index,
 built on the first probe of that column, never at load), assignments by
-subject, and the org children, parents and subjects-by-dept maps that
-linkage walks, and the bounded memo of linkage.route_verdict
-(Dataset.route_verdicts). A mutation helper's new version starts with
-empty caches, so no cache can go stale.
+subject, the org children, parents and subjects-by-dept maps that
+linkage walks, the memo of each supervisor's subordinates
+(Dataset.subordinate_closures) and the bounded memo of
+linkage.route_verdict (Dataset.route_verdicts). A mutation helper's new
+version starts with empty caches, so no cache can go stale.
 
 Sources are either a directory of CSV files (one per table, headers in
 lower_snake_case, plus geocode.csv mapping place names to coordinates and
@@ -273,6 +274,13 @@ class Dataset:
         return index
 
     @cached_property
+    def subordinate_closures(self) -> dict[str, tuple[frozenset[str], tuple[str, ...]]]:
+        """Memo of linkage.subordinates on this version: subject name -> its
+        subordinates' names as a set and in subject-id order; at most one
+        entry per subject."""
+        return {}
+
+    @cached_property
     def route_verdicts(self) -> dict[tuple, str]:
         """Memo of linkage.route_verdict on this version: (subject, location
         or None, timestamp or None) -> lifecycle reason; filled and bounded
@@ -367,7 +375,7 @@ def _from_csv_dir(root: Path) -> Dataset:
     doc: dict = {name: _read_csv(root / f"{name}.csv", columns)
                  for name, columns in TABLE_COLUMNS.items() if (root / f"{name}.csv").exists()}
     if (root / "schema.json").exists():
-        doc["schema"] = json.loads((root / "schema.json").read_text())
+        doc["schema"] = read_json(root / "schema.json")
     geocodes = _load_geocodes(root / "geocode.csv")
     for r in doc.get("carrier", ()):
         for field_name in ("origin", "destination"):
@@ -451,6 +459,15 @@ def _from_doc(doc: dict) -> Dataset:
                    objects=objects, org_edges=org_edges, manifest=manifest)
 
 
+def read_json(path: Path):
+    """The JSON document in a file; text that is not JSON is a ParseError
+    naming the file."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {exc}", source=path.name) from None
+
+
 def load_dataset(source: str | Path | dict) -> Dataset:
     """Load and validate a Dataset from a CSV directory, JSON file, JSON text or dict.
 
@@ -470,11 +487,7 @@ def load_dataset(source: str | Path | dict) -> Dataset:
         if path.is_dir():
             ds = _from_csv_dir(path)
         elif path.exists():
-            try:
-                doc = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}", source=path.name) from None
-            ds = _from_doc(doc)
+            ds = _from_doc(read_json(path))
         else:
             raise ParseError(f"no such file or directory: {source}", source=str(source))
 

@@ -22,7 +22,6 @@ log; ``validate_scenario`` reports exactly the steps it would refuse.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -34,7 +33,7 @@ from .geo import Point, as_point
 from .lifecycle import AccessEvent, GrantState, on_context_update
 from .linkage import CHAIN_MODES
 from .queryir import parse_query
-from .relstore import Dataset, ValidationReport, Violation
+from .relstore import Dataset, ValidationReport, Violation, read_json
 from .sessionctx import SessionContext, open_session
 from .timeutil import parse_timestamp
 
@@ -119,7 +118,7 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     if isinstance(source, dict):
         doc = source
     else:
-        doc = json.loads(Path(source).read_text(encoding="utf-8"))
+        doc = read_json(Path(source))
     if not (isinstance(doc, dict) and isinstance(doc.get("steps", []), list)):
         raise ScenarioError("a scenario must be a JSON object whose steps is a list")
     steps = tuple(_step_from_dict(s, i) for i, s in enumerate(doc.get("steps", ())))

@@ -65,6 +65,7 @@ from .queryir import (
     evaluate,
     evaluate_groups,
     union_branches,
+    union_schema,
 )
 from .relstore import TABLE_COLUMNS, Dataset
 from .sessionctx import SessionContext
@@ -355,8 +356,7 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
     """
     if supervisor_mode not in linkage.SUPERVISOR_MODES:
         raise ValueError(f"unknown supervisor mode: {supervisor_mode!r}")
-    subs = sorted(linkage.subordinates(s, d),
-                  key=lambda name: d.subject_by_name[name].id)
+    subs = linkage.subordinates_by_id(s, d)
     if not subs:
         return base
 
@@ -429,10 +429,18 @@ def materialize(v: VpdDefinition, d: Dataset, ctx: SessionContext) -> RowSet:
 
     A wireless VPD's range gates refuse what the lifecycle refuses; a
     strict supervisor revoked for a subordinate is refused only by the
-    caller's validity gate (engine.run_query)."""
+    caller's validity gate. engine.run_query calls this for a granted
+    request alone; a refused one is joined only when a constraint policy
+    must check its rows (entails)."""
     if v.groups is not None:
         return evaluate_groups(v.groups, d, ctx)
     return evaluate(v.query, d, ctx)
+
+
+def vpd_schema(v: VpdDefinition, d: Dataset) -> tuple[str, ...]:
+    """The schema materialize(v) returns, derived from v's Selects without joining."""
+    selects = [sel for sel, _ in v.groups] if v.groups is not None else union_branches(v.query)
+    return union_schema(selects, d)
 
 
 def _check_head_of_ou(v: VpdDefinition, rows: RowSet, d: Dataset,

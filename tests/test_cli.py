@@ -357,3 +357,20 @@ def test_missing_scenario_or_manifest_file_is_one_error_line(capsys, tmp_path, o
     assert code == 1
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and str(missing) in err
+
+
+@pytest.mark.parametrize("where", ["--manifest", "schema.json", "--scenario"])
+def test_file_that_is_not_json_is_one_error_line_naming_it(capsys, tmp_path, where):
+    bad = tmp_path / ("schema.json" if where == "schema.json" else "bad.json")
+    bad.write_text("{\n")
+    if where == "schema.json":
+        for csv_file in Path(DATA).glob("*.csv"):
+            (tmp_path / csv_file.name).write_text(csv_file.read_text())
+    argv = {"--manifest": ["load", "--data", DATA, "--manifest", str(bad)],
+            "schema.json": ["load", "--data", str(tmp_path)],
+            "--scenario": ["simulate", "--data", str(relstore.bundled_data_dir("handover")),
+                           "--scenario", str(bad), "--out", str(tmp_path / "e.jsonl")]}[where]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {bad.name}: invalid JSON: Expecting property name")

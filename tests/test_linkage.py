@@ -188,28 +188,80 @@ def test_organization_is_strict_partial_order(d):
                     assert linkage.organization(a, c, d)
 
 
-@given(_org_datasets())
-@settings(max_examples=80, deadline=None)
-def test_subordinates_matches_definition(d):
-    # Independent check: DFS over edges, then subject filter.
+def _closure_walk(d: Dataset, ou: str) -> set[str]:
+    """Units below ou: an independent DFS over the edges, no Dataset cache."""
     children = {}
     for e in d.org_edges:
         children.setdefault(e.ou, []).append(e.sub_ou)
+    seen, stack = set(), list(children.get(ou, ()))
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(children.get(node, ()))
+    return seen
 
-    def closure(ou):
-        seen, stack = set(), list(children.get(ou, ()))
-        while stack:
-            node = stack.pop()
-            if node not in seen:
-                seen.add(node)
-                stack.extend(children.get(node, ()))
-        return seen
 
+@given(_org_datasets())
+@settings(max_examples=80, deadline=None)
+def test_subordinates_matches_definition(d):
     for s in d.subjects:
-        expected = {o.name for o in d.subjects if o.dept in closure(s.dept)}
+        expected = {o.name for o in d.subjects if o.dept in _closure_walk(d, s.dept)}
         assert linkage.subordinates(s.name, d) == expected
         assert expected == {o.name for o in d.subjects
                             if linkage.organization(o.name, s.name, d)}
+
+
+@given(_org_datasets(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_subordinate_memo_equals_the_closure_walk_in_subject_id_order(d, rnd):
+    ids = [s.id for s in d.subjects]
+    rnd.shuffle(ids)  # subject-id order differs from name order
+    d = replace(d, subjects=tuple(replace(s, id=i) for s, i in zip(d.subjects, ids)))
+    by_id = sorted(d.subjects, key=lambda s: s.id)
+    for s in d.subjects:
+        expected = {o.name for o in d.subjects if o.dept in _closure_walk(d, s.dept)}
+        for _ in range(2):  # the second answer comes from the memo
+            assert linkage.subordinates(s.name, d) == expected
+            assert linkage.subordinates_by_id(s.name, d) == \
+                tuple(o.name for o in by_id if o.name in expected)
+        assert s.name in d.subordinate_closures
+
+
+def test_subordinate_closure_is_walked_once_per_dataset_version(fixture_dataset,
+                                                                monkeypatch):
+    walks = []
+    real = linkage.sub_ou_closure
+    monkeypatch.setattr(linkage, "sub_ou_closure", lambda ou, d: walks.append(ou) or real(ou, d))
+    d = replace(fixture_dataset)  # a version of its own, with an empty memo
+    for _ in range(3):
+        linkage.subordinates("Charles", d)
+        linkage.subordinates_by_id("Charles", d)
+    assert walks == ["Operation"]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.with_assignment("s06", "t1"),
+    lambda d: d.without_assignment("s04", "t1"),
+    lambda d: d.with_object_carrier(("o001",), "t5"),
+])
+def test_a_new_dataset_version_starts_with_an_empty_subordinate_memo(fixture_dataset, mutate):
+    d = replace(fixture_dataset)
+    linkage.subordinates("Chris", d)
+    assert set(d.subordinate_closures) == {"Chris"}
+    assert mutate(d).subordinate_closures == {}
+
+
+def test_a_caller_cannot_change_a_later_subordinate_answer(fixture_dataset):
+    d = replace(fixture_dataset)
+    names, order = linkage.subordinates("Chris", d), linkage.subordinates_by_id("Chris", d)
+    with pytest.raises(AttributeError):
+        names.add("Mallory")
+    with pytest.raises(AttributeError):
+        order.append("Mallory")
+    names |= {"Mallory"}  # rebinds the caller's name only
+    assert linkage.subordinates("Chris", d) == {"Alice", "Bob", "Parker"}
+    assert linkage.subordinates_by_id("Chris", d) == ("Alice", "Bob", "Parker")
 
 
 def _reference_supervisors(s: str, d: Dataset) -> list[str]:
