@@ -5,7 +5,9 @@ privacy residual go through it. It contains no authorization logic of
 its own, it only sequences lifecycle and vpdrewrite calls. The verdict
 comes first, so a refused request does no join: it returns no rows,
 with the schema its VPD would have, and its VPD is materialized only
-when a constraint policy must check its rows.
+when a constraint policy must check its rows. explain takes the same
+steps (_decide) and prints no rows, so it joins only for a constraint
+policy.
 """
 
 from __future__ import annotations
@@ -41,15 +43,26 @@ def run_query(d: Dataset, ctx: SessionContext, query: str | Query | None = None,
     evaluated raises for a granted request and not for a refused one; a
     UNION whose branches differ in arity raises either way.
     """
+    outcome = _decide(d, ctx, query, chain_mode, supervisor_mode, contexts, policies,
+                      join=True)
+    if outcome.rows is None:
+        return replace(outcome, rows=RowSet(vpd_schema(outcome.vpd), ()))
+    return outcome
+
+
+def _decide(d: Dataset, ctx: SessionContext, query: str | Query | None, chain_mode: str,
+            supervisor_mode: str, contexts: ContextMap | None, policies, *,
+            join: bool) -> QueryOutcome:
+    """The verdict, the VPD and its entailment; with join, a granted
+    request's rows too, else rows is None. Without join the VPD is
+    materialized only inside entails, for a constraint policy."""
     if isinstance(query, str):
         query = parse_query(query)
     state = check_validity(ctx.user, ctx, d, supervisor_mode, contexts)
     vpd = build_vpd(ctx, d, query, chain_mode=chain_mode,
                     supervisor_mode=supervisor_mode, contexts=contexts)
-    rows = materialize(vpd, d, ctx) if state.valid else None
+    rows = materialize(vpd, d, ctx) if join and state.valid else None
     entailed, witness = entails(policies, vpd, d, ctx, contexts=contexts, rows=rows)
-    if rows is None:
-        rows = RowSet(vpd_schema(vpd, d), ())
     return QueryOutcome(state=state, vpd=vpd, rows=rows, entailed=entailed, witness=witness)
 
 
@@ -79,13 +92,22 @@ def _union_lines(q: Query) -> list[str]:
 def explain(d: Dataset, ctx: SessionContext, query: str | Query, *,
             chain_mode: str = "workflow", supervisor_mode: str = "narrative",
             contexts: ContextMap | None = None, policies=()) -> str:
-    """Human-readable derivation trace for one request."""
+    """Human-readable derivation trace for one request: the injected
+    predicates, the expansion, provenance, verdict and entailment, and a
+    supervisor's closed form.
+
+    It takes run_query's steps (_decide) but prints no rows, so it joins
+    the VPD only when a constraint policy must check its rows (entails),
+    once; without one, explain does no join. So, as for a refused
+    request in run_query, a WHERE clause that fails only when evaluated
+    does not raise here, and a UNION whose branches differ in arity does.
+    """
     if isinstance(query, str):
         query = parse_query(query)
-    outcome = run_query(d, ctx, query, chain_mode=chain_mode,
-                        supervisor_mode=supervisor_mode, contexts=contexts,
-                        policies=policies)
+    outcome = _decide(d, ctx, query, chain_mode, supervisor_mode, contexts, policies,
+                      join=False)
     vpd = outcome.vpd
+    vpd_schema(vpd)  # the arity check run_query makes on every verdict
     # The first branch without the user's conditions; a supervisor's own
     # branch has its identity pinned to its name.
     first = replace(vpd.branches[0], user=())

@@ -244,16 +244,16 @@ def supervisors(s: str, d: Dataset) -> list[str]:
     return out
 
 
-def link(requester: str, target: str, mode: str, d: Dataset) -> list[tuple[Predicate, ...]]:
-    """Join-predicate conjunctions binding the requester to target rows.
+def link(target: str, mode: str, d: Dataset) -> list[tuple[Predicate, ...]]:
+    """Join-predicate conjunctions binding the session's subject to target rows.
 
-    Every conjunction starts with the session-identity predicate so a
-    session can never act for another subject by query text. The result
-    is a list of branches: workflow and specialty produce one, direct
-    produces two (sender match, receiver match) that the rewriter joins
-    with UNION.
+    Every conjunction starts with the session-identity predicate, so a
+    session can never act for another subject by query text, and names
+    no subject itself: one result serves every subject of a session. The
+    result is a list of branches: workflow and specialty produce one,
+    direct produces two (sender match, receiver match) that the rewriter
+    joins with UNION.
     """
-    _subject(requester, d)
     session = ColEqContext(ColumnRef(SUBJECT_TABLE, "name"), "session_user")
     if mode == "workflow":
         chain = workflow(target, d)

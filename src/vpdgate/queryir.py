@@ -33,7 +33,18 @@ it touches. A joined row is one flat tuple of its bound rows, projected
 by a C-level itemgetter; see _join. union_schema gives the schema those
 pairs, or a UNION's branches, evaluate to without joining them.
 
+A binding with both a `col = literal/context` filter and an equality to
+an already-bound binding takes its candidates from the smaller side:
+the join index probed per environment, when the estimated environments
+times that index's mean bucket is below the filter's bucket, else the
+filter's bucket hashed on the join column (_join). Both sides give each
+join value's rows in table order, so the choice never changes the rows
+or their order.
+
 Parsing and evaluation are pure; Query and RowSet values are immutable.
+A parse is kept per query text (PARSE_MEMO_SIZE), and a Select's column
+scope per FROM list and projection (SCOPE_MEMO_SIZE); neither depends
+on a Dataset, whose tables always have the columns of TABLE_COLUMNS.
 """
 
 from __future__ import annotations
@@ -41,6 +52,8 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
+from datetime import datetime
+from functools import lru_cache
 from itertools import accumulate, chain
 from operator import itemgetter
 
@@ -51,9 +64,14 @@ from .errors import (
     UnsupportedFeatureError,
     VpdGateError,
 )
+from .relstore import table_columns
 from .sessionctx import CONTEXT_KEYS, context_lookup
+from .timeutil import format_timestamp
 
 RANGE_KINDS = ("location", "time")
+
+PARSE_MEMO_SIZE = 256  # query texts whose parse is kept, least recently used dropped first
+SCOPE_MEMO_SIZE = 256  # (FROM list, projection) pairs whose column scope is kept
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +407,13 @@ class _Parser:
         return InRange(key.text, RangeRef(subject.text, kind.text))
 
 
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_query(text: str) -> Query:
-    """Parse query text into an AST; parse-print-parse is a fixpoint."""
+    """Parse query text into an AST; parse-print-parse is a fixpoint.
+
+    The AST is immutable, so one parse per text is kept and shared
+    (PARSE_MEMO_SIZE texts); a text that fails to parse raises every time.
+    """
     return _Parser(text).top()
 
 
@@ -478,19 +501,19 @@ class RowSet:
 # ---------------------------------------------------------------------------
 
 class _Scope:
-    """Column resolution and joined-environment offsets (see _join) of a Select's FROM."""
+    """Column resolution and joined-environment offsets (see _join) of a FROM list."""
 
-    def __init__(self, select: Select, dataset):
+    def __init__(self, tables: tuple[TableRef, ...]):
         self.bindings: list[str] = []
         self.tables: dict[str, str] = {}
         self.columns: dict[str, tuple[str, ...]] = {}
-        for t in select.tables:
+        for t in tables:
             binding = t.binding
             if binding in self.columns:
                 raise UnknownTableError(f"duplicate table binding {binding!r}")
             self.bindings.append(binding)
             self.tables[binding] = t.table
-            self.columns[binding] = dataset.table(t.table)[0]
+            self.columns[binding] = table_columns(t.table)
         *starts, self.width = accumulate((len(self.columns[b]) for b in self.bindings), initial=0)
         self.offsets = dict(zip(self.bindings, starts))
 
@@ -513,9 +536,6 @@ class _Scope:
 
 
 def _context_value(ctx, key: str):
-    from .timeutil import format_timestamp
-    from datetime import datetime
-
     value = context_lookup(ctx, key)
     if isinstance(value, datetime):
         return format_timestamp(value)
@@ -567,13 +587,13 @@ def evaluate_groups(groups, dataset, ctx=None) -> RowSet:
     return RowSet(schema, tuple(dict.fromkeys(chain.from_iterable(parts))))
 
 
-def union_schema(selects, dataset) -> tuple[str, ...]:
+def union_schema(selects) -> tuple[str, ...]:
     """The schema the UNION of selects evaluates to, derived without joining:
     the first Select's columns. Raises VpdGateError, as evaluating them
     does, when two Selects differ in arity."""
     schema: tuple[str, ...] | None = None
     for sel in selects:
-        schema = _same_arity(schema, _columns(sel, dataset)[1])
+        schema = _same_arity(schema, _columns(sel.tables, sel.projection)[1])
     return schema
 
 
@@ -588,10 +608,14 @@ def _same_arity(schema: tuple[str, ...] | None, branch_schema: tuple[str, ...]):
     return schema
 
 
-def _columns(q: Select, dataset) -> tuple[_Scope, tuple[str, ...], tuple[int, ...]]:
-    """q's scope, its schema, and each projected column's joined-environment offset."""
-    scope = _Scope(q, dataset)
-    schema, flat = zip(*_projection_targets(q, scope))
+@lru_cache(maxsize=SCOPE_MEMO_SIZE)
+def _columns(tables: tuple[TableRef, ...], projection: tuple[ColumnRef, ...]
+             ) -> tuple[_Scope, tuple[str, ...], tuple[int, ...]]:
+    """A Select's scope, its schema, and each projected column's
+    joined-environment offset, from its FROM list and projection alone;
+    kept for SCOPE_MEMO_SIZE pairs. The scope is only read after this."""
+    scope = _Scope(tables)
+    schema, flat = zip(*_projection_targets(projection, scope))
     return scope, schema, flat
 
 
@@ -604,7 +628,7 @@ def _select(q: Select, dataset, ctx, pin: tuple[int, dict] | None = None):
     (O(1) `in`, and an iteration order that does not depend on the hash
     seed, so neither does the row order).
     """
-    scope, schema, flat = _columns(q, dataset)
+    scope, schema, flat = _columns(q.tables, q.projection)
 
     # Row-independent gates first: a refused report empties the result.
     if not _gates_hold(q, dataset, ctx):
@@ -637,10 +661,11 @@ def _select(q: Select, dataset, ctx, pin: tuple[int, dict] | None = None):
     return schema, map(itemgetter(*flat), env)
 
 
-def _projection_targets(q: Select, scope: _Scope) -> list[tuple[str, int]]:
+def _projection_targets(projection: tuple[ColumnRef, ...],
+                        scope: _Scope) -> list[tuple[str, int]]:
     """(schema name, offset in the joined environment) of each projected column."""
     targets: list[tuple[str, int]] = []
-    for item in q.projection:
+    for item in projection:
         if item.column == "*":
             bindings = scope.bindings if item.qualifier is None else [item.qualifier]
             for b in bindings:
@@ -663,7 +688,7 @@ def _join(scope: _Scope, dataset, equalities, filters, memberships) -> Iterator[
     dataset's per-column indexes (Dataset.index), not a table scan:
 
     * with a `col = literal/context` filter, the index bucket of its
-      first such filter;
+      first such filter, unless probing is cheaper (below);
     * else with a membership, the buckets of the membership's values;
     * else, when an equality links it to an already-bound binding, the
       bucket of each environment's join value, probed per environment.
@@ -671,57 +696,74 @@ def _join(scope: _Scope, dataset, equalities, filters, memberships) -> Iterator[
     Only a binding with none of these is scanned. Its remaining filters
     and memberships are checked per candidate row, and candidates taken
     from a filter or membership are hashed on the join column when an
-    equality links them to the bound bindings. The environments stream
-    through one generator per step, so no step holds them all.
+    equality links them to the bound bindings.
+
+    Candidate source of a binding with a filter and an equality to a
+    bound binding: the filter's bucket costs its size; probing costs the
+    estimated environments so far (the product of the bound bindings'
+    candidate counts) times the join index's mean bucket (rows / keys).
+    When probing costs less, the join index is probed and every filter
+    and membership is checked on each row (a field subject's one or two
+    carriers against a good's name bucket); else the bucket is hashed (a
+    supervisor pinned to hundreds of subordinates). Either way each join
+    value's rows come in table order, so the rows and their order are
+    the same. The environments stream through one generator per step, so
+    no step holds them all.
     """
     bound: set[str] = set()
     env: Iterator[tuple] = iter(((),))
     pending_eq = list(equalities)
+    estimate = 1.0  # environments so far: the bound bindings' candidate counts multiplied
 
     for binding in scope.bindings:
         own_filters = [(i, value) for (b, i), value in filters if b == binding]
         own_memberships = [(i, values) for (b, i), values in memberships if b == binding]
+        table, columns = scope.tables[binding], scope.columns[binding]
 
-        join_key = None
+        ni = None  # the join column, when an equality links a bound binding
         for eq in pending_eq:
             (b1, i1), (b2, i2) = eq
             if b1 in bound and b2 == binding:
-                join_key = (scope.offsets[b1] + i1, i2, eq)
-                break
-            if b2 in bound and b1 == binding:
-                join_key = (scope.offsets[b2] + i2, i1, eq)
-                break
+                bound_at, ni = scope.offsets[b1] + i1, i2
+            elif b2 in bound and b1 == binding:
+                bound_at, ni = scope.offsets[b2] + i2, i1
+            else:
+                continue
+            pending_eq.remove(eq)
+            break
 
-        table, columns = scope.tables[binding], scope.columns[binding]
         if own_filters:
-            i, value = own_filters.pop(0)
+            i, value = own_filters[0]
             rows = dataset.index(table, columns[i]).get(value, ())
+            # A non-empty join index's mean bucket is at least one row, so
+            # probing can only be cheaper than a bucket of more rows than
+            # there are environments; only then is the join index read.
+            if (ni is not None and len(rows) > estimate
+                    and estimate * _mean_bucket(dataset, table, columns[ni]) < len(rows)):
+                rows = None  # probe the join index, every filter checked per row
+            else:
+                own_filters.pop(0)
         elif own_memberships:
             i, values = own_memberships.pop(0)
             index = dataset.index(table, columns[i])
             rows = [r for v in values for r in index.get(v, ())]
-        elif join_key is None:
+        elif ni is None:
             rows = dataset.table(table)[1]
         else:
             rows = None  # probed per environment below
-        if own_filters or own_memberships:
-            rows = [r for r in rows
-                    if all(r[i] is not None and r[i] == value for i, value in own_filters)
-                    and all(r[i] in values for i, values in own_memberships)]
+        keep = _row_test(own_filters, own_memberships)
 
-        if join_key is not None:
-            bound_at, ni, used = join_key
-            pending_eq.remove(used)
-            if rows is None:
-                by_value = dataset.index(table, columns[ni])
-            else:
-                by_value = {}
-                for r in rows:
-                    if r[ni] is not None:
-                        by_value.setdefault(r[ni], []).append(r)
-            env = _probe(env, by_value, bound_at)
+        if rows is None:
+            env = _probe(env, dataset.index(table, columns[ni]), bound_at, keep)
+            estimate *= _mean_bucket(dataset, table, columns[ni])
         else:
-            env = _cross(env, rows)
+            if keep is not None:
+                rows = [r for r in rows if keep(r)]
+            estimate *= len(rows)
+            if ni is None:
+                env = _cross(env, rows)
+            else:
+                env = _probe(env, _by_join_value(rows, ni), bound_at)
         bound.add(binding)
 
         # Apply any remaining equalities that just became fully bound.
@@ -734,13 +776,39 @@ def _join(scope: _Scope, dataset, equalities, filters, memberships) -> Iterator[
     return env
 
 
+def _mean_bucket(dataset, table: str, column: str) -> float:
+    """Rows per key of the table's index on column; 0 for an empty index."""
+    index = dataset.index(table, column)
+    return len(dataset.table(table)[1]) / len(index) if index else 0.0
+
+
+def _row_test(filters, memberships):
+    """The test of a candidate row against its binding's remaining filters
+    and memberships; None when there are none."""
+    if not filters and not memberships:
+        return None
+    return lambda r: (all(r[i] is not None and r[i] == value for i, value in filters)
+                      and all(r[i] in values for i, values in memberships))
+
+
+def _by_join_value(rows, at: int) -> dict:
+    """Rows hashed on their value at `at`, each bucket in row order; no None key."""
+    by_value: dict = {}
+    for r in rows:
+        if r[at] is not None:
+            by_value.setdefault(r[at], []).append(r)
+    return by_value
+
+
 def _cross(env, rows) -> Iterator[tuple]:
     return (e + r for e in env for r in rows)
 
 
-def _probe(env, by_value: dict, at: int) -> Iterator[tuple]:
+def _probe(env, by_value: dict, at: int, keep=None) -> Iterator[tuple]:
     # by_value holds no None key, so an absent join value finds no rows.
-    return (e + r for e in env for r in by_value.get(e[at], ()))
+    if keep is None:
+        return (e + r for e in env for r in by_value.get(e[at], ()))
+    return (e + r for e in env for r in by_value.get(e[at], ()) if keep(r))
 
 
 def _where_equal(env, at1: int, at2: int) -> Iterator[tuple]:

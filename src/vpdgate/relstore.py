@@ -21,6 +21,8 @@ an optional schema.json), a single JSON document with one array per
 table, or an equivalent in-memory dict / JSON string. The CSV reader
 turns its rows into that document form, so one builder (_from_doc) makes
 the records of both and names a bad row by file and line or table and row.
+Equal text values of the object table share one string object, and the
+query evaluator's rows one ISO string per distinct date.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import csv
 import json
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from pathlib import Path
 
-from .errors import IntegrityError, ParseError, UnknownColumnError
+from .errors import IntegrityError, ParseError, UnknownColumnError, UnknownTableError
 from .geo import Point
 from .timeutil import day_end, day_start, format_timestamp, parse_date, parse_timestamp
 
@@ -45,6 +47,13 @@ TABLE_COLUMNS: dict[str, tuple[str, ...]] = {
                "origin", "destination", "ship_out", "receive_in"),
     "org_hierarchy": ("ou", "sub_ou"),
 }
+
+
+def table_columns(table: str) -> tuple[str, ...]:
+    """A table's columns; UnknownTableError for a name not in TABLE_COLUMNS."""
+    if table not in TABLE_COLUMNS:
+        raise UnknownTableError(f"unknown table: {table!r}")
+    return TABLE_COLUMNS[table]
 
 DEFAULT_CORRIDOR_KM = 50.0
 
@@ -132,7 +141,7 @@ class CarrierRecord:
     arrival: datetime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # the many-row table: no per-instance dict
 class ObjectRecord:
     oid: str
     name: str
@@ -221,6 +230,7 @@ class Dataset:
 
     @cached_property
     def _tables(self) -> dict[str, tuple[tuple, ...]]:
+        @lru_cache(maxsize=None)  # one string per distinct date, for this call only
         def d(value: date | None) -> str | None:
             return value.isoformat() if value is not None else None
 
@@ -243,10 +253,7 @@ class Dataset:
         Values are strings (timestamps/dates in ISO form) or None for
         absent fields.
         """
-        if name not in TABLE_COLUMNS:
-            from .errors import UnknownTableError
-            raise UnknownTableError(f"unknown table: {name!r}")
-        return TABLE_COLUMNS[name], self._tables[name]
+        return table_columns(name), self._tables[name]
 
     @cached_property
     def _indexes(self) -> dict[tuple[str, str], dict[object, list[tuple]]]:
@@ -442,10 +449,17 @@ def _from_doc(doc: dict) -> Dataset:
     assignments = _doc_rows(doc, "assignment", lambda r: AssignmentRecord(
         subject_id=r["id"], carrier_id=r["truck"]))
     carriers = _doc_rows(doc, "carrier", carrier)
+    # Object columns repeat a few values (goods, subject and carrier ids,
+    # places) over many rows: keep one string per distinct value.
+    keep = {}.setdefault
+
+    def one(value):
+        return keep(value, value) if type(value) is str else value
+
     objects = _doc_rows(doc, "object", lambda r: ObjectRecord(
-        oid=r["oid"], name=r["name"], sender=r["sender"], receiver=r["receiver"],
-        carrier_id=_absent(r, "truck"), origin=r.get("origin", ""),
-        destination=r.get("destination", ""),
+        oid=r["oid"], name=one(r["name"]), sender=one(r["sender"]),
+        receiver=one(r["receiver"]), carrier_id=one(_absent(r, "truck")),
+        origin=one(r.get("origin", "")), destination=one(r.get("destination", "")),
         ship_out=_date(r, "ship_out"), receive_in=_date(r, "receive_in")))
     org_edges = _doc_rows(doc, "org_hierarchy", lambda r: OrgEdge(ou=r["ou"], sub_ou=r["sub_ou"]))
     _check_text("subject", subjects, id="id", name="name", title="title", dept="dept")

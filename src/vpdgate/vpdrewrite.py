@@ -9,7 +9,7 @@ join chain, then prepends access predicates to the user's own condition:
   together, as the lifecycle does (linkage.route_verdict), so the VPD
   itself returns no rows for a refused report;
 * every rewrite gets the session-identity predicate
-  `subject.name = sys_context:session_user`;
+  `subject.name = sys_context:session_user`, which names no subject;
 * the chain-mode predicates follow (workflow join chain, specialty/name
   match, or sender/receiver identity as a two-branch UNION);
 * the user's original conjunction comes last.
@@ -17,6 +17,18 @@ join chain, then prepends access predicates to the user's own condition:
 The projection keeps the user query's column scope: `select * from
 object` projects `object.*` after rewriting, so a VPD result has the
 same schema as the request and the VPD can only ever shrink it.
+
+Only the range gates name the subject, and only the user's conditions
+hold the request's literals. Everything else a rewrite derives from a
+Select (aliases, projection, FROM tables, identity, chain and most of
+the provenance) is one template per Select shape: its FROM list and
+projection, the chain mode, the manifest's foreign keys and whether the
+session is wireless. Templates are kept in a bounded memo
+(TEMPLATE_MEMO_SIZE), so it grows with the number of shapes, not of
+subjects or literals; no key holds a literal, a subject, a session, a
+context value or a Dataset. Per request, rewrite requalifies the user's
+conditions, checks that the subject exists and, for a wireless
+session, adds the two gates naming it.
 
 Each rewritten branch keeps its predicates by role (Branch): the range
 gates, the session identity, the chain predicates and the user's own
@@ -44,9 +56,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from . import linkage
-from .errors import UnknownColumnError, UnsupportedFeatureError
+from .errors import UnknownColumnError, UnknownSubjectError, UnsupportedFeatureError
 from .queryir import (
     ColEqCol,
     ColEqConst,
@@ -238,6 +251,27 @@ def _scoped_projection(q: Select, aliases: dict[str, str]) -> tuple[ColumnRef, .
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class _Template:
+    """What rewriting one Select derives from its shape alone: the alias
+    map and FROM tables its conditions are requalified against, its
+    branches without range gates or user conditions, and the provenance
+    before and after its `user-conditions` entry."""
+
+    aliases: dict[str, str]
+    user_tables: list[str]
+    branches: tuple[Branch, ...]
+    head: tuple[str, ...]
+    tail: tuple[str, ...]
+
+
+TEMPLATE_MEMO_SIZE = 256  # Select shapes kept before the memo is emptied
+
+# (FROM list, projection, chain mode, foreign keys, wireless) ->
+# _Template; no key holds a literal, a subject or a Dataset.
+_templates: dict[tuple, _Template] = {}
+
+
 def rewrite(q: Query, ctx: SessionContext, d: Dataset,
             mode: str = "workflow") -> VpdDefinition:
     """Rewrite a user query into the requesting subject's VPD definition.
@@ -245,20 +279,47 @@ def rewrite(q: Query, ctx: SessionContext, d: Dataset,
     Wireless sessions get range gates; wired sessions get the plain
     linked form. The mode selects how the subject is tied to the target
     table (workflow chain, specialty match, or direct sender/receiver).
-    """
-    if isinstance(q, Union):
-        parts = [rewrite(b, ctx, d, mode) for b in union_branches(q)]
-        provenance = parts[0].provenance
-        for part in parts[1:]:
-            provenance += part.provenance + ("union-request",)
-        return VpdDefinition(
-            subject=ctx.user,
-            location_dependent=parts[0].location_dependent,
-            time_dependent=parts[0].time_dependent,
-            query=_union_of([part.query for part in parts]),
-            provenance=provenance,
-            branches=sum((part.branches for part in parts), ()))
 
+    Each Select's branches come from its shape's template (_template),
+    built once; per request rewrite only checks the subject, requalifies
+    the user's conditions, literals included, and adds a wireless
+    session's two gates, which name ctx.user. A Select that fails to
+    rewrite is not kept, so it raises on every call.
+    """
+    wireless = ctx.wireless
+    gates: tuple[InRange, ...] = ()
+    if wireless:
+        gates = (InRange("l", RangeRef(ctx.user, "location")),
+                 InRange("t", RangeRef(ctx.user, "time")))
+    parts, provenance = [], ()
+    for n, sel in enumerate(union_branches(q)):
+        t = _template(sel, mode, d, wireless)
+        user = tuple(_requalify_predicate(p, t.aliases, t.user_tables) for p in sel.where)
+        branches = t.branches
+        if gates or user:
+            branches = tuple(Branch(b.projection, b.tables, gates, b.identity, b.chain, user)
+                             for b in branches)
+        parts.append(branches)
+        provenance += (t.head + ((f"user-conditions:{len(user)}",) if user else ())
+                       + t.tail + (("union-request",) if n else ()))
+    if ctx.user not in d.subject_by_name:
+        raise UnknownSubjectError(ctx.user)
+    return VpdDefinition(
+        subject=ctx.user,
+        location_dependent=wireless,
+        time_dependent=wireless,
+        query=lambda: _union_of([_union_of([b.select() for b in part]) for part in parts]),
+        provenance=provenance,
+        branches=tuple(chain.from_iterable(parts)))
+
+
+def _template(q: Select, mode: str, d: Dataset, wireless: bool) -> _Template:
+    """q's shape's template, from the memo or built and kept. Building it
+    reads only d's foreign keys and TABLE_COLUMNS."""
+    key = (q.tables, q.projection, mode, d.manifest.foreign_keys, wireless)
+    template = _templates.get(key)
+    if template is not None:
+        return template
     aliases = _alias_map(q)
     user_tables = [aliases[t.binding] for t in q.tables]
     target = user_tables[0]
@@ -266,33 +327,18 @@ def rewrite(q: Query, ctx: SessionContext, d: Dataset,
     chain_tables = linkage.link_tables(target, mode, d)
     from_tables = list(chain_tables) + [t for t in user_tables if t not in chain_tables]
 
-    wireless = ctx.wireless
-    gates: tuple[InRange, ...] = ()
-    if wireless:
-        gates = (InRange("l", RangeRef(ctx.user, "location")),
-                 InRange("t", RangeRef(ctx.user, "time")))
-
-    user_preds = tuple(_requalify_predicate(p, aliases, user_tables) for p in q.where)
     projection = _scoped_projection(q, aliases)
     tables = tuple(TableRef(t) for t in from_tables)
-    branches = tuple(Branch(projection, tables, gates, identity, tuple(chain), user_preds)
-                     for identity, *chain in linkage.link(ctx.user, target, mode, d))
+    branches = tuple(Branch(projection, tables, (), identity, tuple(rest), ())
+                     for identity, *rest in linkage.link(target, mode, d))
 
-    provenance = [f"mode:{mode}", "session-predicate"]
-    if wireless:
-        provenance.insert(1, "range-gates")
-    if user_preds:
-        provenance.append(f"user-conditions:{len(user_preds)}")
-    if len(branches) > 1:
-        provenance.append(f"union-branches:{len(branches)}")
-
-    return VpdDefinition(
-        subject=ctx.user,
-        location_dependent=wireless,
-        time_dependent=wireless,
-        query=_union_of([b.select() for b in branches]),
-        provenance=tuple(provenance),
-        branches=branches)
+    head = (f"mode:{mode}",) + (("range-gates",) if wireless else ()) + ("session-predicate",)
+    tail = (f"union-branches:{len(branches)}",) if len(branches) > 1 else ()
+    template = _Template(aliases, user_tables, branches, head, tail)
+    if len(_templates) >= TEMPLATE_MEMO_SIZE:
+        _templates.clear()
+    _templates[key] = template  # racing threads store equal templates
+    return template
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +483,10 @@ def materialize(v: VpdDefinition, d: Dataset, ctx: SessionContext) -> RowSet:
     return evaluate(v.query, d, ctx)
 
 
-def vpd_schema(v: VpdDefinition, d: Dataset) -> tuple[str, ...]:
+def vpd_schema(v: VpdDefinition) -> tuple[str, ...]:
     """The schema materialize(v) returns, derived from v's Selects without joining."""
     selects = [sel for sel, _ in v.groups] if v.groups is not None else union_branches(v.query)
-    return union_schema(selects, d)
+    return union_schema(selects)
 
 
 def _check_head_of_ou(v: VpdDefinition, rows: RowSet, d: Dataset,

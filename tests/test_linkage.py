@@ -120,19 +120,19 @@ def test_supervisors_ordered_nearest_first(fixture_dataset):
 
 
 def test_link_workflow(fixture_dataset):
-    [branch] = linkage.link("Parker", "object", "workflow", fixture_dataset)
+    [branch] = linkage.link("object", "workflow", fixture_dataset)
     assert branch[0] == ColEqContext(ColumnRef("subject", "name"), "session_user")
     assert branch[1:] == linkage.workflow("object", fixture_dataset).predicates
 
 
 def test_link_specialty(fixture_dataset):
-    [branch] = linkage.link("Parker", "object", "specialty", fixture_dataset)
+    [branch] = linkage.link("object", "specialty", fixture_dataset)
     assert branch[1] == ColEqCol(ColumnRef("subject", "specialty"),
                                  ColumnRef("object", "name"))
 
 
 def test_link_direct_two_branches(fixture_dataset):
-    branches = linkage.link("Peter", "object", "direct", fixture_dataset)
+    branches = linkage.link("object", "direct", fixture_dataset)
     assert len(branches) == 2
     assert branches[0][1] == ColEqCol(ColumnRef("subject", "id"),
                                       ColumnRef("object", "sender"))

@@ -8,7 +8,8 @@ These tests count the joins, pin the schema to the granted request's,
 pin the declared change (a WHERE clause that fails only when evaluated
 no longer raises for a refused request), and check the outcome and the
 explain text against the order the pipeline used before: materialize,
-entail, then blank.
+entail, then blank. explain prints no rows, so it joins only when a
+constraint policy must check them.
 """
 
 from __future__ import annotations
@@ -131,6 +132,23 @@ def test_refused_request_with_constraint_policies_is_joined_once_and_keeps_its_w
     assert outcome.entailed is False and outcome.witness is not None
 
 
+@pytest.mark.parametrize("mode, state", [("narrative", GRANTED), ("strict", REVOKED)])
+def test_explain_joins_only_for_a_constraint_policy(fixture_dataset, monkeypatch, mode, state):
+    d = fixture_dataset
+    chris = open_session("Chris", None, None, d)
+    contexts = {"Parker": open_session("Parker", MEXICO_CITY, AUG_20, d)}
+    kwargs = dict(supervisor_mode=mode, contexts=contexts)
+    for policies, joins in (((), 0), ((HEAD_OF_OU_POLICY,), 1)):
+        calls = _counted(monkeypatch)
+        text = engine.explain(d, chris, "select * from object", policies=policies, **kwargs)
+        monkeypatch.undo()
+        assert calls["materialize"] == joins
+        assert f"verdict: {state} " in text and "entailment: satisfied" in text
+        outcome = engine.run_query(d, chris, "select * from object", policies=policies,
+                                   **kwargs)
+        assert outcome.state.state == state and outcome.entailed
+
+
 # ---------------------------------------------------------------------------
 # Declared change: a refused request is not evaluated, so it does not raise
 # ---------------------------------------------------------------------------
@@ -168,6 +186,24 @@ def test_union_of_different_arity_raises_whatever_the_verdict(fixture_dataset, w
     }[who]
     with pytest.raises(VpdGateError, match="UNION branches have different arity: 1 vs 2"):
         engine.run_query(d, ctx, MIXED_ARITY, supervisor_mode=mode, contexts=contexts)
+    with pytest.raises(VpdGateError, match="UNION branches have different arity: 1 vs 2"):
+        engine.explain(d, ctx, MIXED_ARITY, supervisor_mode=mode, contexts=contexts)
+
+
+@pytest.mark.parametrize("mode, state", [("narrative", GRANTED), ("strict", REVOKED)])
+def test_explain_does_not_evaluate_the_where_clause(fixture_dataset, mode, state):
+    """Declared: explain does no join without a constraint policy, so a
+    WHERE clause that fails only when evaluated does not raise there,
+    granted or refused; with a policy it is joined and raises."""
+    d = fixture_dataset
+    chris = open_session("Chris", None, None, d)
+    contexts = {"Parker": open_session("Parker", MEXICO_CITY, AUG_20, d)}
+    text = engine.explain(d, chris, TWO_COLUMN_SUBQUERY, supervisor_mode=mode,
+                          contexts=contexts)
+    assert f"verdict: {state} " in text
+    with pytest.raises(VpdGateError, match="IN subquery must project exactly one column"):
+        engine.explain(d, chris, TWO_COLUMN_SUBQUERY, supervisor_mode=mode,
+                       contexts=contexts, policies=(HEAD_OF_OU_POLICY,))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +224,14 @@ def _materialize_then_blank(d, ctx, query=None, *, chain_mode="workflow",
         rows = RowSet(rows.schema, ())
     return engine.QueryOutcome(state=state, vpd=vpd, rows=rows, entailed=entailed,
                                witness=witness)
+
+
+def _decide_joining_every_vpd(d, ctx, query, chain_mode, supervisor_mode, contexts,
+                               policies, *, join):
+    """engine._decide, the steps explain takes, as before refusing first."""
+    return _materialize_then_blank(d, ctx, query, chain_mode=chain_mode,
+                                   supervisor_mode=supervisor_mode, contexts=contexts,
+                                   policies=policies)
 
 
 def _observed(outcome) -> tuple:
@@ -228,5 +272,5 @@ def test_refusing_first_changes_no_outcome_and_no_explain_text(case):
         reference = _materialize_then_blank(d, ctx, text, **kwargs)
         assert _observed(outcome) == _observed(reference)
         text_now = engine.explain(d, ctx, text, **kwargs)
-        with mock.patch.object(engine, "run_query", _materialize_then_blank):
+        with mock.patch.object(engine, "_decide", _decide_joining_every_vpd):
             assert text_now == engine.explain(d, ctx, text, **kwargs)

@@ -189,6 +189,19 @@ def test_table_view_exposes_strings(fixture_dataset):
     assert alice[3] is None  # "-" specialty
 
 
+def test_repeated_object_values_share_one_string():
+    # json.loads gives each occurrence its own str; the loader keeps one.
+    doc = json.loads(dump_dataset(relstore.load_bundled("logistics")))
+    doc["object"] += [dict(row, oid=f"copy-{n}") for n, row in enumerate(doc["object"])]
+    d = load_dataset(json.loads(json.dumps(doc)))
+    for column in ("name", "sender", "receiver", "carrier_id", "origin", "destination"):
+        seen = {}
+        for o in d.objects:
+            value = getattr(o, column)
+            if value is not None:
+                assert seen.setdefault(value, value) is value, column
+
+
 def test_mutation_helpers_produce_new_versions(fixture_dataset):
     d2 = fixture_dataset.with_assignment("s15", "t5")
     assert len(d2.assignments) == len(fixture_dataset.assignments) + 1
