@@ -35,7 +35,6 @@ from .linkage import (
     organization,
     route_verdict,
     subordinates,
-    time_range,
     workflow,
 )
 from .queryir import Query, RowSet, evaluate, parse_query, render_query
@@ -47,7 +46,7 @@ from .relstore import (
     load_dataset,
     validate_dataset,
 )
-from .sessionctx import SessionContext, SessionRegistry, context_lookup, open_session
+from .sessionctx import SessionContext, context_lookup, open_session
 from .simharness import Scenario, load_scenario, run_scenario, validate_scenario
 from .vpdrewrite import (
     DomainPolicy,

@@ -156,11 +156,8 @@ def build_vpd(ctx: SessionContext, d: Dataset, query=None, *,
     """Rewrite (and, for subjects with subordinates, expand) a request."""
     if isinstance(query, str):
         query = parse_query(query)
-    base = rewrite(query or DEFAULT_QUERY, ctx, d, chain_mode)
-    if linkage.subordinates(ctx.user, d):
-        return expand_supervisor(ctx.user, base, d, contexts=contexts,
-                                 supervisor_mode=supervisor_mode)
-    return base
+    return expand_supervisor(ctx.user, rewrite(query or DEFAULT_QUERY, ctx, d, chain_mode), d,
+                             contexts=contexts, supervisor_mode=supervisor_mode)
 
 
 # ---------------------------------------------------------------------------

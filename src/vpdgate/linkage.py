@@ -3,9 +3,10 @@
 Four kinds of linkage drive the access predicates:
 
 * route ranges   - the planned polyline and time window of every carrier
-                   a subject is assigned to (location_range / time_range),
-                   with a configurable corridor width for "along the route",
-                   and route_verdict, the one decision of a reported (l, t);
+                   a subject is assigned to (location_range), with a
+                   configurable corridor width for "along the route";
+                   in_range and route_verdict, the one decision of a
+                   reported (l, t), share its window and corridor tests;
 * workflow       - the shortest declared foreign-key chain from the
                    subject table to a target table;
 * organization   - transitive subordination over the org_hierarchy DAG;
@@ -45,6 +46,14 @@ class RouteRange:
     def distance_km(self, loc: Point) -> float:
         return geo.polyline_distance_km(loc, self.polyline)
 
+    def in_window(self, t: datetime) -> bool:
+        """t within [t_b, t_e], bounds inclusive."""
+        return self.t_b <= t <= self.t_e
+
+    def in_corridor(self, loc: Point) -> bool:
+        """loc at most corridor_km from the planned polyline."""
+        return self.distance_km(loc) <= self.corridor_km
+
 
 @dataclass(frozen=True)
 class JoinChain:
@@ -74,14 +83,9 @@ def location_range(s: str, d: Dataset) -> list[RouteRange]:
     return out
 
 
-def time_range(s: str, d: Dataset) -> list[tuple[datetime, datetime]]:
-    """Planned (departure, arrival) window per assignment of subject s."""
-    return [(r.t_b, r.t_e) for r in location_range(s, d)]
-
-
 def in_range(loc: Point, t: datetime, r: RouteRange) -> bool:
-    """True iff loc is within the corridor and t within [t_b, t_e], bounds inclusive."""
-    return r.t_b <= t <= r.t_e and r.distance_km(loc) <= r.corridor_km
+    """True iff t is within r's window and loc within its corridor."""
+    return r.in_window(t) and r.in_corridor(loc)
 
 
 REASON_IN_RANGE = "in-range"
@@ -95,7 +99,7 @@ VERDICT_MEMO_SIZE = 8192  # entries per Dataset version before the memo is empti
 def route_verdict(s: str, loc: Point | None, t: datetime | None, d: Dataset) -> str:
     """Whether the report (loc, t) grants s, as a lifecycle reason; the only
     code that decides one. "in-range" when one carrier of s has t in its
-    window and loc in its corridor (in_range); else "no-assignment",
+    window and loc in its corridor (in_range's two tests); else "no-assignment",
     "out-of-time" (no window contains t) or "out-of-route". A None key is
     not constrained. Memoized per Dataset version (Dataset.route_verdicts),
     emptied at VERDICT_MEMO_SIZE entries.
@@ -105,12 +109,12 @@ def route_verdict(s: str, loc: Point | None, t: datetime | None, d: Dataset) -> 
     verdict = memo.get(key)
     if verdict is None:
         ranges = location_range(s, d)
-        in_window = [r for r in ranges if t is None or r.t_b <= t <= r.t_e]
+        in_window = [r for r in ranges if t is None or r.in_window(t)]
         if not ranges:
             verdict = REASON_NO_ASSIGNMENT
         elif not in_window:
             verdict = REASON_OUT_OF_TIME
-        elif loc is None or any(r.distance_km(loc) <= r.corridor_km for r in in_window):
+        elif loc is None or any(r.in_corridor(loc) for r in in_window):
             verdict = REASON_IN_RANGE
         else:
             verdict = REASON_OUT_OF_ROUTE
@@ -168,37 +172,28 @@ def _chain(target: str, foreign_keys: tuple[tuple[str, str], ...]) -> JoinChain:
     raise NoChainError(f"no declared chain links {SUBJECT_TABLE!r} to {target!r}")
 
 
-def sub_ou_closure(ou: str, d: Dataset) -> set[str]:
-    """Strict transitive closure of sub-units below ou (ou itself excluded)."""
-    children = d.org_children
-    out: set[str] = set()
-    stack = list(children.get(ou, ()))
-    while stack:
-        node = stack.pop()
-        if node in out:
-            continue
-        out.add(node)
-        stack.extend(children.get(node, ()))
-    return out
+def _levels(start: str, edges: dict[str, tuple[str, ...]]) -> list[set[str]]:
+    """Units reachable from start over edges (org_children or org_parents),
+    grouped by minimum edge count, level 1 first; start is in none."""
+    levels: list[set[str]] = []
+    seen = {start}
+    current = {n for n in edges.get(start, ()) if n != start}
+    while current:
+        levels.append(current)
+        seen.update(current)
+        current = {n for node in current for n in edges.get(node, ()) if n not in seen}
+    return levels
 
 
 def sub_ou_levels(ou: str, d: Dataset) -> list[set[str]]:
     """Sub-units below ou grouped by minimum edge distance (level 1 first)."""
-    children = d.org_children
-    levels: list[set[str]] = []
-    seen = {ou}
-    current = {c for c in children.get(ou, ()) if c != ou}
-    while current:
-        levels.append(set(current))
-        seen.update(current)
-        current = {c for node in current for c in children.get(node, ()) if c not in seen}
-    return levels
+    return _levels(ou, d.org_children)
 
 
 def organization(s1: str, s2: str, d: Dataset) -> bool:
     """True iff s1 is a (transitive, strict) subordinate of s2."""
-    a, b = _subject(s1, d), _subject(s2, d)
-    return a.dept in sub_ou_closure(b.dept, d)
+    _subject(s1, d)  # an unknown s1 raises, as an unknown s2 does
+    return s1 in _subordinates(s2, d)[0]
 
 
 def subordinates(s: str, d: Dataset) -> frozenset[str]:
@@ -213,35 +208,27 @@ def subordinates_by_id(s: str, d: Dataset) -> tuple[str, ...]:
 
 def _subordinates(s: str, d: Dataset) -> tuple[frozenset[str], tuple[str, ...]]:
     """s's subordinates as a name set and in subject-id order, found once
-    per Dataset version (Dataset.subordinate_closures). Both are immutable,
-    so no caller can change a later answer."""
+    per Dataset version (Dataset.subordinate_closures) from the levels
+    below s's dept. Both are immutable, so no caller can change a later
+    answer."""
     memo = d.subordinate_closures
     entry = memo.get(s)
     if entry is None:
         by_dept = d.subjects_by_dept
-        names = frozenset(other.name for ou in sub_ou_closure(_subject(s, d).dept, d)
-                          for other in by_dept.get(ou, ()))
+        names = frozenset(other.name for level in _levels(_subject(s, d).dept, d.org_children)
+                          for ou in level for other in by_dept.get(ou, ()))
         entry = (names, tuple(sorted(names, key=lambda name: d.subject_by_name[name].id)))
         memo[s] = entry  # racing threads store equal entries
     return entry
 
 
 def supervisors(s: str, d: Dataset) -> list[str]:
-    """Subjects s is subordinate to, nearest first, ties by name.
-
-    One upward BFS from s's dept: the level at which a unit is first
-    reached is its minimum edge distance down to s's dept.
-    """
-    parents, by_dept = d.org_parents, d.subjects_by_dept
-    start = _subject(s, d).dept
-    out: list[str] = []
-    seen = {start}
-    current = {p for p in parents.get(start, ()) if p != start}
-    while current:
-        out += sorted(other.name for ou in current for other in by_dept.get(ou, ()))
-        seen.update(current)
-        current = {p for node in current for p in parents.get(node, ()) if p not in seen}
-    return out
+    """Subjects s is subordinate to, nearest first, ties by name: the
+    levels above s's dept, where a unit's level is its minimum edge
+    distance down to s's dept."""
+    by_dept = d.subjects_by_dept
+    return [name for level in _levels(_subject(s, d).dept, d.org_parents)
+            for name in sorted(other.name for ou in level for other in by_dept.get(ou, ()))]
 
 
 def link(target: str, mode: str, d: Dataset) -> list[tuple[Predicate, ...]]:

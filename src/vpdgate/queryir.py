@@ -45,6 +45,8 @@ Parsing and evaluation are pure; Query and RowSet values are immutable.
 A parse is kept per query text (PARSE_MEMO_SIZE), and a Select's column
 scope per FROM list and projection (SCOPE_MEMO_SIZE); neither depends
 on a Dataset, whose tables always have the columns of TABLE_COLUMNS.
+The parser refuses a text whose SELECTs nest more than MAX_SELECT_DEPTH
+deep, so no walker of a parsed query recurses past Python's limit.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from .timeutil import format_timestamp
 RANGE_KINDS = ("location", "time")
 
 PARSE_MEMO_SIZE = 256  # query texts whose parse is kept, least recently used dropped first
+MAX_SELECT_DEPTH = 64  # SELECTs nested by IN, the outermost counted; deeper texts are refused
 SCOPE_MEMO_SIZE = 256  # (FROM list, projection) pairs whose column scope is kept
 
 
@@ -229,6 +232,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # select() calls on the stack
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -297,6 +301,10 @@ class _Parser:
         return node
 
     def select(self) -> Select:
+        self.depth += 1
+        if self.depth > MAX_SELECT_DEPTH:
+            raise QuerySyntaxError(f"query nests SELECTs more than {MAX_SELECT_DEPTH} deep",
+                                   self.peek().pos)
         self.expect_keyword("SELECT")
         projection = self.projection()
         self.expect_keyword("FROM")
@@ -309,6 +317,7 @@ class _Parser:
             while self.accept_keyword("AND"):
                 preds.append(self.predicate())
             where = tuple(preds)
+        self.depth -= 1
         return Select(projection=projection, tables=tuple(tables), where=where)
 
     def projection(self) -> tuple[ColumnRef, ...]:

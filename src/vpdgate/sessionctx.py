@@ -11,7 +11,6 @@ Contexts are immutable; re-login creates a new session id.
 
 from __future__ import annotations
 
-import threading
 import uuid
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -76,25 +75,3 @@ def context_lookup(ctx: SessionContext, key: str):
 def latest_by_user(contexts: Iterable[SessionContext]) -> dict[str, SessionContext]:
     """The last context per user in iteration order (insertion order wins)."""
     return {ctx.user: ctx for ctx in contexts}
-
-
-class SessionRegistry:
-    """Session store keyed by session id; inserts and removals serialized."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._sessions: dict[str, SessionContext] = {}
-
-    def add(self, ctx: SessionContext) -> None:
-        with self._lock:
-            self._sessions[ctx.session_id] = ctx
-
-    def get(self, session_id: str) -> SessionContext | None:
-        return self._sessions.get(session_id)
-
-    def remove(self, session_id: str) -> None:
-        with self._lock:
-            self._sessions.pop(session_id, None)
-
-    def __len__(self) -> int:
-        return len(self._sessions)

@@ -34,7 +34,7 @@ from .lifecycle import AccessEvent, GrantState, on_context_update
 from .linkage import CHAIN_MODES
 from .queryir import parse_query
 from .relstore import Dataset, ValidationReport, Violation, read_json
-from .sessionctx import SessionContext, open_session
+from .sessionctx import open_session
 from .timeutil import parse_timestamp
 
 ACTIONS = ("move", "login", "query", "join", "leave", "handover")
@@ -203,23 +203,18 @@ def run_scenario(sc: Scenario, d: Dataset, *, supervisor_mode: str = "narrative"
     events: list[AccessEvent] = []
     query_results: list[tuple[str, str, tuple[str, ...]]] = []
 
-    def context_for(subject: str, now: datetime) -> SessionContext:
-        pos = positions.get(subject)
-        return open_session(subject, pos, now if pos is not None else None, dataset,
-                            session_id=f"sim-{dataset.subject_by_name[subject].id}",
-                            opened_at=now)
-
-    def context_map(now: datetime) -> dict[str, SessionContext]:
-        return {s: context_for(s, now) for s in logged_in}
-
     for index, step in _replay_order(sc):
         now = step.at
         dataset = _apply(dataset, positions, logged_in, index, step, partial_log=events)
+        # One session per logged-in subject, for the query and the re-evaluation.
+        contexts = {s: open_session(s, positions.get(s),
+                                    now if positions.get(s) is not None else None, dataset,
+                                    session_id=f"sim-{dataset.subject_by_name[s].id}",
+                                    opened_at=now)
+                    for s in logged_in}
         if step.action == "query":
-            ctx = context_for(step.subject, now)
-            rows = run_query(dataset, ctx, step.text, chain_mode=step.mode,
-                             supervisor_mode=supervisor_mode,
-                             contexts=context_map(now)).rows
+            rows = run_query(dataset, contexts[step.subject], step.text, chain_mode=step.mode,
+                             supervisor_mode=supervisor_mode, contexts=contexts).rows
             try:
                 oids = tuple(sorted(set(rows.column("oid"))))
             except UnknownColumnError:
@@ -227,7 +222,6 @@ def run_scenario(sc: Scenario, d: Dataset, *, supervisor_mode: str = "narrative"
             query_results.append((step.at.isoformat(), step.subject, oids))
 
         # Re-evaluate everyone with an open session against the new state.
-        contexts = context_map(now)
         order = sorted(logged_in, key=lambda s: dataset.subject_by_name[s].id)
         for subject in order:
             state, evs = on_context_update(subject, contexts[subject], dataset,

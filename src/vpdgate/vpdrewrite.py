@@ -175,24 +175,15 @@ DEFAULT_RULES: tuple[InferenceRule, ...] = (WRITE_IMPLIES_READ,)
 
 @dataclass(frozen=True)
 class DomainPolicy:
-    """A pre-defined policy every rewritten query must satisfy.
-
-    kind "inference-rule" carries a privilege implication; kind
-    "constraint" names a built-in extensional check run against the
-    materialized VPD rows.
-    """
+    """A pre-defined policy every rewritten query must satisfy: `constraint`
+    names a built-in extensional check (CONSTRAINT_CHECKS) run against the
+    materialized VPD rows."""
 
     id: str
-    kind: str  # "inference-rule" | "constraint"
-    rule: InferenceRule | None = None
-    constraint: str | None = None
+    constraint: str
 
     def __post_init__(self):
-        if self.kind not in ("inference-rule", "constraint"):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "inference-rule" and self.rule is None:
-            raise ValueError("inference-rule policy needs a rule")
-        if self.kind == "constraint" and self.constraint not in CONSTRAINT_CHECKS:
+        if self.constraint not in CONSTRAINT_CHECKS:
             raise ValueError(f"unknown constraint {self.constraint!r}")
 
 
@@ -385,7 +376,8 @@ def subordinate_known_invalid(s: str, d: Dataset, contexts: ContextMap | None) -
 def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
                       contexts: ContextMap | None = None,
                       supervisor_mode: str = "narrative") -> VpdDefinition:
-    """Union a subject's VPD with its transitive subordinates' VPDs.
+    """Union a subject's VPD with its transitive subordinates' VPDs; a
+    subject without subordinates gets `base` back.
 
     Branches are built from the base branches' roles (Branch): a
     subordinate's branch is the supervisor's without the range gates and
@@ -521,26 +513,24 @@ CONSTRAINT_CHECKS = {
     "head-of-ou-containment": _check_head_of_ou,
 }
 
-HEAD_OF_OU_POLICY = DomainPolicy(id="head-of-ou", kind="constraint",
-                                 constraint="head-of-ou-containment")
+HEAD_OF_OU_POLICY = DomainPolicy(id="head-of-ou", constraint="head-of-ou-containment")
 
 
 def entails(policies, v: VpdDefinition, d: Dataset, ctx: SessionContext, *,
             contexts: ContextMap | None = None,
             rows: RowSet | None = None) -> tuple[bool, tuple | None]:
-    """Check the materialized VPD against every constraint policy.
+    """Check the materialized VPD against every policy's constraint.
 
     Returns (True, None) when all constraints hold (vacuously for no
     policies), else (False, witness_row) for the first violation. Pass
     `rows` when the VPD is already materialized; else it is materialized
-    here.
+    here, and only when a policy is given.
     """
-    constraint_policies = [p for p in policies if p.kind == "constraint"]
-    if not constraint_policies:
+    if not policies:
         return True, None
     if rows is None:
         rows = materialize(v, d, ctx)
-    for policy in constraint_policies:
+    for policy in policies:
         witness = CONSTRAINT_CHECKS[policy.constraint](v, rows, d, contexts)
         if witness is not None:
             return False, witness

@@ -363,7 +363,7 @@ def test_run_query_materializes_once_with_constraint_policies(fixture_dataset, c
                                                               monkeypatch):
     monkeypatch.setitem(vpdrewrite.CONSTRAINT_CHECKS, "first-row",
                         lambda v, rows, d, contexts: rows.rows[0] if rows.rows else None)
-    first_row = DomainPolicy(id="first-row", kind="constraint", constraint="first-row")
+    first_row = DomainPolicy(id="first-row", constraint="first-row")
     d, contexts = fixture_dataset, _parker_off(fixture_dataset)
     for policies in ((HEAD_OF_OU_POLICY,), (HEAD_OF_OU_POLICY, first_row)):
         for mode in ("narrative", "strict"):  # strict revokes Chris: rows are blanked

@@ -37,14 +37,6 @@ def test_location_range_charles(fixture_dataset):
     assert [r.carrier_id for r in ranges] == ["t1"]
 
 
-def test_time_range(fixture_dataset):
-    assert linkage.time_range("Parker", fixture_dataset) == \
-        [(TS("2010-08-11T00:00:00Z"), TS("2010-09-15T23:59:59Z"))]
-    assert linkage.time_range("Alice", fixture_dataset) == \
-        [(TS("2010-08-12T00:00:00Z"), TS("2010-08-21T23:59:59Z"))]
-    assert linkage.time_range("Peter", fixture_dataset) == []
-
-
 def test_in_range_midpoint(fixture_dataset, t1_midpoint):
     [r] = linkage.location_range("Parker", fixture_dataset)
     assert r.distance_km(t1_midpoint) < 1e-6
@@ -141,12 +133,11 @@ def test_link_direct_two_branches(fixture_dataset):
 
 
 def test_ranges_pair_up(fixture_dataset):
-    for s in fixture_dataset.subjects:
-        locs = linkage.location_range(s.name, fixture_dataset)
-        times = linkage.time_range(s.name, fixture_dataset)
-        assert len(locs) == len(times) == len(fixture_dataset.assignments_of(s.id))
-        for r, (t_b, t_e) in zip(locs, times):
-            assert (r.t_b, r.t_e) == (t_b, t_e)
+    d = fixture_dataset
+    for s in d.subjects:
+        carriers = [d.carrier_by_id[a.carrier_id] for a in d.assignments_of(s.id)]
+        assert [(r.carrier_id, r.t_b, r.t_e) for r in linkage.location_range(s.name, d)] == \
+            [(c.id, c.departure, c.arrival) for c in carriers]
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +222,8 @@ def test_subordinate_memo_equals_the_closure_walk_in_subject_id_order(d, rnd):
 def test_subordinate_closure_is_walked_once_per_dataset_version(fixture_dataset,
                                                                 monkeypatch):
     walks = []
-    real = linkage.sub_ou_closure
-    monkeypatch.setattr(linkage, "sub_ou_closure", lambda ou, d: walks.append(ou) or real(ou, d))
+    real = linkage._levels
+    monkeypatch.setattr(linkage, "_levels", lambda ou, edges: walks.append(ou) or real(ou, edges))
     d = replace(fixture_dataset)  # a version of its own, with an empty memo
     for _ in range(3):
         linkage.subordinates("Charles", d)

@@ -123,7 +123,7 @@ def test_refused_request_with_constraint_policies_is_joined_once_and_keeps_its_w
     chris = open_session("Chris", None, None, d)
     contexts = {"Parker": open_session("Parker", MEXICO_CITY, AUG_20, d)}
     monkeypatch.setitem(vpdrewrite.CONSTRAINT_CHECKS, "first-row", _first_row)
-    first_row = DomainPolicy(id="first-row", kind="constraint", constraint="first-row")
+    first_row = DomainPolicy(id="first-row", constraint="first-row")
     calls = _counted(monkeypatch)
     outcome = engine.run_query(d, chris, "select * from object", supervisor_mode="strict",
                                contexts=contexts, policies=(HEAD_OF_OU_POLICY, first_row))
@@ -266,7 +266,7 @@ def _request(draw):
 def test_refusing_first_changes_no_outcome_and_no_explain_text(case):
     d, ctx, text, kwargs, n_policies = case
     with mock.patch.dict(vpdrewrite.CONSTRAINT_CHECKS, {"first-row": _first_row}):
-        first_row = DomainPolicy(id="first-row", kind="constraint", constraint="first-row")
+        first_row = DomainPolicy(id="first-row", constraint="first-row")
         kwargs["policies"] = (HEAD_OF_OU_POLICY, first_row)[:n_policies]
         outcome = engine.run_query(d, ctx, text, **kwargs)
         reference = _materialize_then_blank(d, ctx, text, **kwargs)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpdgate import linkage
+from vpdgate import linkage, oracle
 from vpdgate.lifecycle import REVOKED, build_vpd, check_validity
 from vpdgate.oracle import nested_loop_evaluate
 from vpdgate.queryir import evaluate, parse_query
@@ -114,3 +114,27 @@ def test_refused_wireless_requests_evaluate_to_no_rows(seed, ctx_seed):
                 assert len(rows) == 0, (name, mode)
                 assert len(materialize(vpd, d, ctx)) == 0, (name, mode)
             assert Counter(rows.rows) == Counter(nested_loop_evaluate(vpd.query, d, ctx).rows)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 100))
+@settings(max_examples=150, deadline=None)
+def test_route_verdict_is_in_range_over_the_subjects_ranges(seed, ctx_seed):
+    """route_verdict and in_range decide a report by the same two tests,
+    and agree with the oracle's own carrier walk; a None key is not tested."""
+    d = random_dataset(random.Random(seed))
+    contexts = [*random_contexts(random.Random(ctx_seed), d).values(),
+                *crossed_contexts(random.Random(ctx_seed), d).values()]
+    reports = [(c.user, c.location, c.timestamp) for c in contexts]
+    reports += [(s, None, t) for s, _, t in reports] + [(s, loc, None) for s, loc, _ in reports]
+    for s, loc, t in reports:
+        ranges = linkage.location_range(s, d)
+        verdict = linkage.route_verdict(s, loc, t, d)
+        if loc is not None and t is not None:
+            granted = any(linkage.in_range(loc, t, r) for r in ranges)
+        else:
+            granted = any((t is None or r.in_window(t)) and (loc is None or r.in_corridor(loc))
+                          for r in ranges)
+        assert (verdict == "in-range") == granted == oracle._route_valid(s, loc, t, d)
+        assert (verdict == "no-assignment") == (not ranges)
+        assert (verdict == "out-of-time") == (
+            bool(ranges) and t is not None and not any(r.in_window(t) for r in ranges))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vpdgate.errors import UnboundContextKeyError, UnknownSubjectError
-from vpdgate.sessionctx import SessionRegistry, context_lookup, latest_by_user, open_session
+from vpdgate.sessionctx import context_lookup, latest_by_user, open_session
 from vpdgate.timeutil import parse_timestamp
 
 
@@ -61,15 +61,9 @@ def test_lookup_echoes_inputs(fixture_dataset, lat, lon, seconds):
 
 
 def test_registry_latest_by_user(fixture_dataset):
-    reg = SessionRegistry()
     a = open_session("Parker", None, None, fixture_dataset, session_id="a")
     b = open_session("Parker", None, None, fixture_dataset, session_id="b")
-    reg.add(a)
-    reg.add(b)
-    assert len(reg) == 2
     assert latest_by_user([a, b])["Parker"].session_id == "b"
-    reg.remove("b")
-    assert reg.get("b") is None
 
 
 def test_naive_datetimes_are_taken_as_utc(fixture_dataset, t1_midpoint):
