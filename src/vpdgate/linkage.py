@@ -93,7 +93,7 @@ REASON_OUT_OF_ROUTE = "out-of-route"
 REASON_OUT_OF_TIME = "out-of-time"
 REASON_NO_ASSIGNMENT = "no-assignment"
 
-VERDICT_MEMO_SIZE = 8192  # entries per Dataset version before the memo is emptied
+VERDICT_MEMO_SIZE = 8192  # corridor tests kept per Dataset version before the memo is emptied
 
 
 def route_verdict(s: str, loc: Point | None, t: datetime | None, d: Dataset) -> str:
@@ -101,26 +101,36 @@ def route_verdict(s: str, loc: Point | None, t: datetime | None, d: Dataset) -> 
     code that decides one. "in-range" when one carrier of s has t in its
     window and loc in its corridor (in_range's two tests); else "no-assignment",
     "out-of-time" (no window contains t) or "out-of-route". A None key is
-    not constrained. Memoized per Dataset version (Dataset.route_verdicts),
-    emptied at VERDICT_MEMO_SIZE entries.
+    not constrained.
+
+    The window test runs on every call. A corridor test does not depend on
+    the clock, so its outcome is kept per Dataset version, keyed by
+    (carrier, location) (Dataset.corridor_tests, emptied at
+    VERDICT_MEMO_SIZE entries): a subject who has not moved is not measured
+    again when only the time changes. Carriers are tested in assignment
+    order, and only those in window, up to the first hit. s's RouteRanges
+    are built once per version (Dataset.route_ranges).
     """
-    memo = d.route_verdicts
-    key = (s, loc, t)
-    verdict = memo.get(key)
-    if verdict is None:
-        ranges = location_range(s, d)
-        in_window = [r for r in ranges if t is None or r.in_window(t)]
-        if not ranges:
-            verdict = REASON_NO_ASSIGNMENT
-        elif not in_window:
-            verdict = REASON_OUT_OF_TIME
-        elif loc is None or any(r.in_corridor(loc) for r in in_window):
-            verdict = REASON_IN_RANGE
-        else:
-            verdict = REASON_OUT_OF_ROUTE
-        if len(memo) >= VERDICT_MEMO_SIZE:
-            memo.clear()
-        memo[key] = verdict  # racing threads store the same verdict
+    ranges = d.route_ranges.get(s)
+    if ranges is None:  # racing threads store equal tuples
+        ranges = d.route_ranges[s] = tuple(location_range(s, d))
+    verdict = REASON_OUT_OF_TIME if ranges else REASON_NO_ASSIGNMENT
+    memo = d.corridor_tests
+    for r in ranges:
+        if t is not None and not r.in_window(t):
+            continue
+        if loc is None:
+            return REASON_IN_RANGE
+        key = (r.carrier_id, loc)
+        hit = memo.get(key)
+        if hit is None:
+            hit = r.in_corridor(loc)
+            if len(memo) >= VERDICT_MEMO_SIZE:
+                memo.clear()
+            memo[key] = hit  # racing threads store the same outcome
+        if hit:
+            return REASON_IN_RANGE
+        verdict = REASON_OUT_OF_ROUTE
     return verdict
 
 

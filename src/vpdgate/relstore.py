@@ -11,9 +11,12 @@ per-(table, column) hash indexes the query evaluator probes (Dataset.index,
 built on the first probe of that column, never at load), assignments by
 subject, the org children, parents and subjects-by-dept maps that
 linkage walks, the memo of each supervisor's subordinates
-(Dataset.subordinate_closures) and the bounded memo of
-linkage.route_verdict (Dataset.route_verdicts). A mutation helper's new
-version starts with empty caches, so no cache can go stale.
+(Dataset.subordinate_closures), and the two memos of linkage.route_verdict:
+each subject's route ranges (Dataset.route_ranges) and the bounded memo of
+corridor tests, keyed by carrier and location but not by time
+(Dataset.corridor_tests). A mutation helper's new version, or a
+replace(d, manifest=...), starts with empty caches, so no cache can go
+stale: a wider corridor is never answered from a narrower one's tests.
 
 Sources are either a directory of CSV files (one per table, headers in
 lower_snake_case, plus geocode.csv mapping place names to coordinates and
@@ -21,8 +24,9 @@ an optional schema.json), a single JSON document with one array per
 table, or an equivalent in-memory dict / JSON string. The CSV reader
 turns its rows into that document form, so one builder (_from_doc) makes
 the records of both and names a bad row by file and line or table and row.
-Equal text values of the object table share one string object, and the
-query evaluator's rows one ISO string per distinct date.
+Equal text values of the object table share one string object, equal
+date texts one date (each distinct truck or date text is read once), and
+the query evaluator's rows one ISO string per distinct date.
 """
 
 from __future__ import annotations
@@ -288,9 +292,19 @@ class Dataset:
         return {}
 
     @cached_property
-    def route_verdicts(self) -> dict[tuple, str]:
-        """Memo of linkage.route_verdict on this version: (subject, location
-        or None, timestamp or None) -> lifecycle reason; filled and bounded
+    def route_ranges(self) -> dict[str, tuple]:
+        """Memo of each subject's linkage.RouteRanges on this version: subject
+        name -> one range per assignment, in assignment order; filled by
+        linkage.route_verdict on the subject's first report, at most one
+        entry per subject."""
+        return {}
+
+    @cached_property
+    def corridor_tests(self) -> dict[tuple, bool]:
+        """Memo of linkage.route_verdict's corridor test on this version:
+        (carrier id, location) -> whether the location lies within the
+        manifest's corridor of that carrier's route. Time is not part of
+        the key: route_verdict tests windows per call. Filled and bounded
         there, for the lifecycle, supervisor expansion and range gates."""
         return {}
 
@@ -333,6 +347,25 @@ def _absent(row: dict, key: str) -> str | None:
 def _date(row: dict, key: str) -> date | None:
     value = _absent(row, key)
     return None if value is None else parse_date(value)
+
+
+def _read_once(read):
+    """read(row, key), remembered per distinct string value of row[key]. Only
+    a string read without error is remembered: any other value, and a text
+    read refuses, is read (and refused) again at each row."""
+    memo: dict = {}
+    missing = object()
+
+    def cached(row: dict, key: str):
+        text = row.get(key)
+        if type(text) is not str:
+            return read(row, key)
+        value = memo.get(text, missing)
+        if value is missing:
+            value = memo[text] = read(row, key)
+        return value
+
+    return cached
 
 
 def _parse_bound(text: str, *, end_of_day: bool) -> datetime:
@@ -450,17 +483,19 @@ def _from_doc(doc: dict) -> Dataset:
         subject_id=r["id"], carrier_id=r["truck"]))
     carriers = _doc_rows(doc, "carrier", carrier)
     # Object columns repeat a few values (goods, subject and carrier ids,
-    # places) over many rows: keep one string per distinct value.
+    # places, dates) over many rows: keep one string per distinct value,
+    # and read each distinct truck or date text once.
     keep = {}.setdefault
 
     def one(value):
         return keep(value, value) if type(value) is str else value
 
+    truck = _read_once(lambda r, key: one(_absent(r, key)))
+    day = _read_once(_date)
     objects = _doc_rows(doc, "object", lambda r: ObjectRecord(
-        oid=r["oid"], name=one(r["name"]), sender=one(r["sender"]),
-        receiver=one(r["receiver"]), carrier_id=one(_absent(r, "truck")),
-        origin=one(r.get("origin", "")), destination=one(r.get("destination", "")),
-        ship_out=_date(r, "ship_out"), receive_in=_date(r, "receive_in")))
+        r["oid"], one(r["name"]), one(r["sender"]), one(r["receiver"]), truck(r, "truck"),
+        one(r.get("origin", "")), one(r.get("destination", "")),
+        day(r, "ship_out"), day(r, "receive_in")))
     org_edges = _doc_rows(doc, "org_hierarchy", lambda r: OrgEdge(ou=r["ou"], sub_ou=r["sub_ou"]))
     _check_text("subject", subjects, id="id", name="name", title="title", dept="dept")
     _check_text("assignment", assignments, id="subject_id", truck="carrier_id")

@@ -1,10 +1,11 @@
-"""Grouped supervisor VPDs, their lazily built text, and the subordinate verdict memo.
+"""Grouped supervisor VPDs, their lazily built text, and the memoized subordinate verdicts.
 
 A supervisor's VPD is evaluated as its groups, (Select, pin) pairs with
 one join each, without building a Select per subordinate; the UNION text
 is built only when read. These tests pin the text to goldens, check the
 grouped rows against the built union and the nested-loop reference,
-check that the verdict memo follows Dataset versions, and that the
+check that subordinate verdicts follow Dataset versions and that the
+corridor memo behind them stays within its bound, and that the
 head-of-OU check and run_query's single materialization agree with the
 per-subject originals.
 """
@@ -273,15 +274,21 @@ def test_verdict_memo_follows_dataset_versions(fixture_dataset):
 
 
 def test_verdict_memo_stays_within_its_limit(fixture_dataset, monkeypatch):
+    # The corridor memo is keyed by (carrier, location), not by time: each
+    # report moves, so that every in-window report adds entries.
     monkeypatch.setattr(linkage, "VERDICT_MEMO_SIZE", 3)
     d = fixture_dataset.with_assignment("s04", "t5")
-    memo = d.route_verdicts
+    memo = d.corridor_tests
+    sizes = []
     for k in range(12):
         t = parse_timestamp(f"2010-08-{10 + k:02d}T12:00:00Z")
-        contexts = {"Parker": open_session("Parker", SAN_DIEGO, t, d)}
+        where = (SAN_DIEGO[0] + 0.25 * k, SAN_DIEGO[1])
+        contexts = {"Parker": open_session("Parker", where, t, d)}
         assert subordinate_known_invalid("Parker", d, contexts) == \
             _known_invalid_unmemoized("Parker", d, contexts)
-        assert 0 < len(memo) <= 3
+        assert len(memo) <= 3
+        sizes.append(len(memo))
+    assert 3 in sizes and any(b < a for a, b in zip(sizes, sizes[1:])), sizes
 
 
 @given(st.integers(0, 10_000), st.integers(0, 100))

@@ -1,6 +1,7 @@
 import json
 import random
 import shutil
+from datetime import date
 
 import pytest
 
@@ -280,3 +281,43 @@ def test_json_dataset_must_be_an_object(tmp_path):
 def test_malformed_manifest_names_the_field(schema, message):
     with pytest.raises(ParseError, match=message):
         relstore.SchemaManifest.from_dict(schema)
+
+
+def _goods(n: int, **changes) -> dict:
+    return {**GOLD, "oid": f"o{n}", "truck": "-", **changes}
+
+
+def test_a_repeated_malformed_date_is_reported_at_its_first_row():
+    rows = [_goods(n, ship_out="2010-01-02") for n in range(9)]
+    for n in (3, 7):
+        rows[n]["ship_out"] = "2010-13-45"
+    with pytest.raises(ParseError) as err:
+        load_dataset({"object": rows})
+    assert str(err.value).startswith("object (row 3): ")
+    rows[3]["ship_out"] = ["2010-01-02"]  # a text read before does not excuse a non-string
+    rows[7]["ship_out"] = "2010-01-02"
+    with pytest.raises(ParseError) as err:
+        load_dataset({"object": rows})
+    assert str(err.value).startswith("object (row 3): ship_out must be a string, not list")
+
+
+def test_repeated_date_and_truck_texts_load_equal_records():
+    texts = ["2010-01-02", " 2010-01-02 ", "2010-02-03", "-", ""]
+    rows = [_goods(n, truck=["t1", " t1", "-"][n % 3], ship_out=texts[n % 5],
+                   receive_in=texts[(n + 2) % 5]) for n in range(15)]
+    carriers = [_carrier()]
+    d = load_dataset({"object": rows, "carrier": carriers})
+
+    def day(text):
+        text = text.strip()
+        return None if text in ("", "-") else date.fromisoformat(text)
+
+    assert d.objects == tuple(
+        relstore.ObjectRecord(r["oid"], r["name"], r["sender"], r["receiver"],
+                              None if r["truck"] == "-" else r["truck"].strip(), "", "",
+                              day(r["ship_out"]), day(r["receive_in"])) for r in rows)
+    # Equal date texts share one date, in either column.
+    shared = {}
+    for r, o in zip(rows, d.objects):
+        for text, value in ((r["ship_out"], o.ship_out), (r["receive_in"], o.receive_in)):
+            assert shared.setdefault(text, value) is value

@@ -7,13 +7,17 @@ check_validity also asks, so evaluating the VPD never returns rows for a
 report the lifecycle refuses. These tests pin a crossed report (position
 on one carrier's route, time in another carrier's window), the
 lone-gate meaning, and the property over random instances, with the
-nested-loop reference deciding gates by its own carrier walk.
+nested-loop reference deciding gates by its own carrier walk. The
+corridor test is memoized per (carrier, location) and the window tested
+per call, so one position asked at several times, or under a wider
+corridor, must still be decided as a fresh version decides it.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -27,11 +31,12 @@ from vpdgate.sessionctx import open_session
 from vpdgate.timeutil import parse_timestamp
 from vpdgate.vpdrewrite import materialize
 
-from conftest import MIAMI
+from conftest import MEXICO_CITY, MIAMI
 from randgen import crossed_contexts, random_contexts, random_dataset
 
 ANCHORAGE = (61.2181, -149.9003)  # on t5's route, ~2000 km from t1's
 SEP_1 = parse_timestamp("2010-09-01T00:00:00Z")  # in t1's window, after t5's
+AUG_15 = parse_timestamp("2010-08-15T00:00:00Z")  # in both t1's and t5's windows
 
 
 @pytest.fixture()
@@ -138,3 +143,51 @@ def test_route_verdict_is_in_range_over_the_subjects_ranges(seed, ctx_seed):
         assert (verdict == "no-assignment") == (not ranges)
         assert (verdict == "out-of-time") == (
             bool(ranges) and t is not None and not any(r.in_window(t) for r in ranges))
+
+
+# ---------------------------------------------------------------------------
+# The corridor memo: keyed by (carrier, location), windows tested per call
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("first", ["t5-window", "t1-window"])
+def test_one_position_under_two_windows(parker_on_t1_and_t5, first):
+    """Anchorage is in t5's corridor and far from t1's. Once a time in t5's
+    window has stored both carriers' corridor tests, a time in t1's window
+    alone must still be refused, and in the other order granted."""
+    d = replace(parker_on_t1_and_t5)  # one version with empty memos
+    asked = {"t5-window": AUG_15, "t1-window": SEP_1}
+    order = [first, *(k for k in asked if k != first)]
+    answers = {k: linkage.route_verdict("Parker", ANCHORAGE, asked[k], d) for k in order}
+    assert answers == {"t5-window": "in-range", "t1-window": "out-of-route"}
+    assert d.corridor_tests == {("t1", ANCHORAGE): False, ("t5", ANCHORAGE): True}
+    assert set(d.route_ranges) == {"Parker"}
+    # Asked again, from the memo: the same answers.
+    assert {k: linkage.route_verdict("Parker", ANCHORAGE, asked[k], d) for k in asked} == answers
+
+
+def test_a_wider_corridor_is_a_new_version(fixture_dataset):
+    """--corridor-km replaces the manifest: the new version does not read the
+    narrower corridor's tests."""
+    d = replace(fixture_dataset)
+    assert linkage.route_verdict("Parker", MEXICO_CITY, AUG_15, d) == "out-of-route"
+    assert d.corridor_tests == {("t1", MEXICO_CITY): False}
+    wide = replace(d, manifest=replace(d.manifest, corridor_km=2000.0))
+    assert linkage.route_verdict("Parker", MEXICO_CITY, AUG_15, wide) == "in-range"
+    assert linkage.route_verdict("Parker", MEXICO_CITY, AUG_15, d) == "out-of-route"
+
+
+@given(st.integers(0, 10_000), st.integers(0, 100))
+@settings(max_examples=100, deadline=None)
+def test_a_position_reported_at_many_times(seed, ctx_seed):
+    """Each report position is asked again at every reported time: the
+    verdict from the shared memo equals a fresh version's and the oracle's."""
+    d = random_dataset(random.Random(seed))
+    contexts = [*random_contexts(random.Random(ctx_seed), d).values(),
+                *crossed_contexts(random.Random(ctx_seed), d).values()]
+    wireless = [c for c in contexts if c.wireless]
+    times = [None, *sorted({c.timestamp for c in wireless})]
+    for c in wireless:
+        for t in times:
+            verdict = linkage.route_verdict(c.user, c.location, t, d)
+            assert verdict == linkage.route_verdict(c.user, c.location, t, replace(d))
+            assert (verdict == "in-range") == oracle._route_valid(c.user, c.location, t, d)
