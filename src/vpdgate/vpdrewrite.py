@@ -364,7 +364,7 @@ def subordinate_known_invalid(s: str, d: Dataset, contexts: ContextMap | None) -
     Subjects with no reported context (or a wired one) count as valid:
     revocation is driven by known state, never by absence of it. A
     subject with no assignment is not moving, so it cannot be
-    route-invalid. The verdict is linkage.route_verdict's, memoized there.
+    route-invalid. The verdict is linkage.route_verdict's.
     """
     ctx = (contexts or {}).get(s)
     if ctx is None or not ctx.wireless:
