@@ -6,6 +6,12 @@ org_hierarchy) plus per-carrier route polylines and the schema manifest
 immutable after load; every mutation helper returns a new version, so
 unlimited concurrent readers are safe.
 
+A subject, assignment, object or org_hierarchy record is a NamedTuple
+whose fields follow TABLE_COLUMNS, so each record is also the query
+evaluator's row: Dataset.table hands out the loaded records themselves.
+Only carrier rows are a view, built once per version, because a
+CarrierRecord holds places, waypoints and datetimes.
+
 Each version builds its lookup structures lazily and keeps them: the
 per-(table, column) hash indexes the query evaluator probes (Dataset.index,
 built on the first probe of that column, never at load), assignments by
@@ -24,9 +30,10 @@ an optional schema.json), a single JSON document with one array per
 table, or an equivalent in-memory dict / JSON string. The CSV reader
 turns its rows into that document form, so one builder (_from_doc) makes
 the records of both and names a bad row by file and line or table and row.
-Equal text values of the object table share one string object, equal
-date texts one date (each distinct truck or date text is read once), and
-the query evaluator's rows one ISO string per distinct date.
+Object dates are kept as ISO text (a text that is not a date is refused
+at its row). Equal text values of the object table share one string
+object, and equal date texts one ISO string: each distinct truck or date
+text is read once.
 """
 
 from __future__ import annotations
@@ -34,10 +41,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, replace
-from datetime import date, datetime
-from functools import cached_property, lru_cache
+from datetime import datetime
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import IntegrityError, ParseError, UnknownColumnError, UnknownTableError
 from .geo import Point
@@ -120,8 +128,7 @@ class Place:
         return (self.lat, self.lon)
 
 
-@dataclass(frozen=True)
-class SubjectRecord:
+class SubjectRecord(NamedTuple):
     id: str
     name: str
     title: str
@@ -129,10 +136,9 @@ class SubjectRecord:
     dept: str
 
 
-@dataclass(frozen=True)
-class AssignmentRecord:
-    subject_id: str
-    carrier_id: str
+class AssignmentRecord(NamedTuple):
+    subject_id: str  # column id
+    carrier_id: str  # column truck
 
 
 @dataclass(frozen=True)
@@ -145,21 +151,19 @@ class CarrierRecord:
     arrival: datetime
 
 
-@dataclass(frozen=True, slots=True)  # the many-row table: no per-instance dict
-class ObjectRecord:
+class ObjectRecord(NamedTuple):
     oid: str
     name: str
     sender: str
     receiver: str
-    carrier_id: str | None
+    carrier_id: str | None  # column truck
     origin: str
     destination: str
-    ship_out: date | None
-    receive_in: date | None
+    ship_out: str | None  # ISO date text
+    receive_in: str | None  # ISO date text
 
 
-@dataclass(frozen=True)
-class OrgEdge:
+class OrgEdge(NamedTuple):
     ou: str
     sub_ou: str
 
@@ -234,28 +238,23 @@ class Dataset:
 
     @cached_property
     def _tables(self) -> dict[str, tuple[tuple, ...]]:
-        @lru_cache(maxsize=None)  # one string per distinct date, for this call only
-        def d(value: date | None) -> str | None:
-            return value.isoformat() if value is not None else None
-
         return {
-            "subject": tuple((s.id, s.name, s.title, s.specialty, s.dept)
-                             for s in self.subjects),
-            "assignment": tuple((a.subject_id, a.carrier_id) for a in self.assignments),
+            "subject": self.subjects,
+            "assignment": self.assignments,
             "carrier": tuple((c.id, c.origin.name, c.destination.name,
                               format_timestamp(c.departure), format_timestamp(c.arrival))
                              for c in self.carriers),
-            "object": tuple((o.oid, o.name, o.sender, o.receiver, o.carrier_id,
-                             o.origin, o.destination, d(o.ship_out), d(o.receive_in))
-                            for o in self.objects),
-            "org_hierarchy": tuple((e.ou, e.sub_ou) for e in self.org_edges),
+            "object": self.objects,
+            "org_hierarchy": self.org_edges,
         }
 
     def table(self, name: str) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
         """Columns and rows of a table as seen by the query evaluator.
 
         Values are strings (timestamps/dates in ISO form) or None for
-        absent fields.
+        absent fields. A subject, assignment, object or org_hierarchy row
+        is the loaded record itself; only carrier rows are a view built
+        from the records (place names and ISO timestamps).
         """
         return table_columns(name), self._tables[name]
 
@@ -320,9 +319,9 @@ class Dataset:
         return replace(self, assignments=kept)
 
     def with_object_carrier(self, oids: tuple[str, ...], carrier_id: str | None) -> "Dataset":
-        moved = tuple(replace(o, carrier_id=carrier_id) if o.oid in oids else o
-                      for o in self.objects)
-        return replace(self, objects=moved)
+        moved = frozenset(oids)
+        return replace(self, objects=tuple(o._replace(carrier_id=carrier_id)
+                                           if o.oid in moved else o for o in self.objects))
 
 
 def _grouped(pairs) -> dict:
@@ -344,9 +343,10 @@ def _absent(row: dict, key: str) -> str | None:
     return None if value in ("", "-") else value
 
 
-def _date(row: dict, key: str) -> date | None:
+def _date(row: dict, key: str) -> str | None:
+    """row[key] as an ISO date text; a text that is not a date raises."""
     value = _absent(row, key)
-    return None if value is None else parse_date(value)
+    return None if value is None else parse_date(value).isoformat()
 
 
 def _read_once(read):
@@ -660,8 +660,7 @@ def dump_dataset(d: Dataset) -> str:
         "object": [{"oid": o.oid, "name": o.name, "sender": o.sender, "receiver": o.receiver,
                     "truck": o.carrier_id or "-", "origin": o.origin,
                     "destination": o.destination,
-                    "ship_out": o.ship_out.isoformat() if o.ship_out else "-",
-                    "receive_in": o.receive_in.isoformat() if o.receive_in else "-"}
+                    "ship_out": o.ship_out or "-", "receive_in": o.receive_in or "-"}
                    for o in d.objects],
         "org_hierarchy": [{"ou": e.ou, "sub_ou": e.sub_ou} for e in d.org_edges],
         "schema": d.manifest.to_dict(),

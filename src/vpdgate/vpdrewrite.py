@@ -344,20 +344,6 @@ def _union_of(selects: list[Select]) -> Query:
     return out
 
 
-def _dept_membership(depth: int, dept: str) -> InSubquery:
-    """subject.dept IN (... nested sub-OU selection, `depth` levels deep)."""
-    inner: Query = Select(
-        projection=(ColumnRef(None, "sub_ou"),),
-        tables=(TableRef("org_hierarchy"),),
-        where=(ColEqConst(ColumnRef(None, "ou"), dept),))
-    for _ in range(depth - 1):
-        inner = Select(
-            projection=(ColumnRef(None, "sub_ou"),),
-            tables=(TableRef("org_hierarchy"),),
-            where=(InSubquery(ColumnRef(None, "ou"), inner),))
-    return InSubquery(ColumnRef("subject", "dept"), inner)
-
-
 def subordinate_known_invalid(s: str, d: Dataset, contexts: ContextMap | None) -> bool:
     """True when s has a reported wireless context that fails the route check.
 
@@ -428,12 +414,18 @@ def _expanded_union(branches: tuple[Branch, ...], s: str, kept: list[str]) -> Qu
 
 def _closed_union(branches: tuple[Branch, ...], s: str, d: Dataset) -> Query:
     """The own branches, then per hierarchy level the gate-free branches
-    with the identity replaced by department membership."""
+    with the identity replaced by department membership: subject.dept IN
+    the level's sub-OU selection, which wraps the level above's selection
+    (shared, not rebuilt: the AST is immutable)."""
     closed = [b.select(s) for b in branches]
     dept = d.subject_by_name[s].dept
-    for depth in range(1, len(linkage.sub_ou_levels(dept, d)) + 1):
-        membership = _dept_membership(depth, dept)
+    above: Predicate = ColEqConst(ColumnRef(None, "ou"), dept)  # org_hierarchy.ou one level up
+    for _ in linkage.sub_ou_levels(dept, d):
+        level = Select(projection=(ColumnRef(None, "sub_ou"),),
+                       tables=(TableRef("org_hierarchy"),), where=(above,))
+        membership = InSubquery(ColumnRef("subject", "dept"), level)
         closed += [b.select(membership, gated=False) for b in branches]
+        above = InSubquery(ColumnRef(None, "ou"), level)
     return _union_of(closed)
 
 

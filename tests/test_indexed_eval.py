@@ -154,7 +154,7 @@ def test_assignments_of_equals_linear_scan(seed):
     d = random_dataset(random.Random(seed))
     for a in d.assignments[:2]:
         d = d.with_assignment(a.subject_id, a.carrier_id)
-    for s in d.subjects + (replace(d.subjects[0], id="nobody"),):
+    for s in d.subjects + (d.subjects[0]._replace(id="nobody"),):
         assert d.assignments_of(s.id) == \
             tuple(a for a in d.assignments if a.subject_id == s.id)
 

@@ -208,7 +208,7 @@ def test_subordinates_matches_definition(d):
 def test_subordinate_memo_equals_the_closure_walk_in_subject_id_order(d, rnd):
     ids = [s.id for s in d.subjects]
     rnd.shuffle(ids)  # subject-id order differs from name order
-    d = replace(d, subjects=tuple(replace(s, id=i) for s, i in zip(d.subjects, ids)))
+    d = replace(d, subjects=tuple(s._replace(id=i) for s, i in zip(d.subjects, ids)))
     by_id = sorted(d.subjects, key=lambda s: s.id)
     for s in d.subjects:
         expected = {o.name for o in d.subjects if o.dept in _closure_walk(d, s.dept)}

@@ -1,6 +1,7 @@
 import json
 import random
 import shutil
+import sys
 from datetime import date
 
 import pytest
@@ -310,14 +311,49 @@ def test_repeated_date_and_truck_texts_load_equal_records():
 
     def day(text):
         text = text.strip()
-        return None if text in ("", "-") else date.fromisoformat(text)
+        return None if text in ("", "-") else date.fromisoformat(text).isoformat()
 
     assert d.objects == tuple(
         relstore.ObjectRecord(r["oid"], r["name"], r["sender"], r["receiver"],
                               None if r["truck"] == "-" else r["truck"].strip(), "", "",
                               day(r["ship_out"]), day(r["receive_in"])) for r in rows)
-    # Equal date texts share one date, in either column.
+    # Equal date texts share one ISO string, in either column.
     shared = {}
     for r, o in zip(rows, d.objects):
         for text, value in ((r["ship_out"], o.ship_out), (r["receive_in"], o.receive_in)):
             assert shared.setdefault(text, value) is value
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="date.fromisoformat reads basic form from 3.11")
+def test_a_basic_form_date_reads_as_iso_text_everywhere():
+    d = load_dataset({"object": [_goods(1, ship_out="20100802")]})
+    columns, rows = d.table("object")
+    at = columns.index("ship_out")
+    assert str(d.objects[0].ship_out) == "2010-08-02"
+    assert rows[0][at] == "2010-08-02"
+    assert json.loads(dump_dataset(d))["object"][0]["ship_out"] == "2010-08-02"
+
+
+@pytest.mark.parametrize("table, records", [
+    ("subject", "subjects"), ("assignment", "assignments"),
+    ("object", "objects"), ("org_hierarchy", "org_edges"),
+])
+def test_a_record_table_is_its_own_row_view(fixture_dataset, table, records):
+    d = fixture_dataset
+    rows = d.table(table)[1]
+    assert rows is getattr(d, records)
+    assert all(len(r) == len(relstore.TABLE_COLUMNS[table]) == len(type(r)._fields)
+               for r in rows)
+
+
+def test_with_object_carrier_changes_only_the_carrier(fixture_dataset):
+    d = fixture_dataset
+    moved = d.with_object_carrier(("o007", "o001"), "t5")
+    truck = relstore.TABLE_COLUMNS["object"].index("truck")
+    assert moved.table("object")[1] is moved.objects
+    for before, after in zip(d.objects, moved.objects):
+        expected = "t5" if before.oid in ("o007", "o001") else before.carrier_id
+        assert after == before._replace(carrier_id=expected)
+        assert after[truck] == expected
+    assert [r.oid for r in moved.index("object", "truck")["t5"]] == ["o001", "o005", "o007"]
+    assert d.object_by_id["o001"].carrier_id == "t1"  # the old version is unchanged

@@ -1,6 +1,6 @@
 import pytest
 
-from vpdgate import linkage, queryir
+from vpdgate import linkage, queryir, relstore
 from vpdgate.queryir import InRange, InSubquery, Select, Union, evaluate, parse_query, render_query
 from vpdgate.sessionctx import open_session
 from vpdgate.vpdrewrite import (
@@ -198,6 +198,40 @@ def test_closed_form_subquery_targets_org_hierarchy(fixture_dataset, chris_wired
                   for p in b.where if isinstance(p, InSubquery)]
     assert len(membership) == 1
     assert membership[0].a == queryir.ColumnRef("subject", "dept")
+
+
+def _org_chain_dataset(levels: int):
+    """One subject per unit of an org_hierarchy chain u0 -> u1 -> ... -> u<levels>."""
+    return relstore.load_dataset({
+        "subject": [{"id": f"s{k:05d}", "name": f"S{k}", "dept": f"u{k}"}
+                    for k in range(levels + 1)],
+        "org_hierarchy": [{"ou": f"u{k}", "sub_ou": f"u{k + 1}"} for k in range(levels)]})
+
+
+@pytest.mark.parametrize("levels", [3, 1500])
+def test_closed_form_levels_share_the_level_above(levels):
+    """Level k's membership subquery wraps level k-1's Select itself, so a
+    chain of L levels builds L Selects, not L**2."""
+    d = _org_chain_dataset(levels)
+    ctx = open_session("S0", None, None, d)
+    v = expand_supervisor("S0", rewrite(parse_query("select * from subject"), ctx, d), d)
+    selects = queryir.union_branches(v.closed_query)
+    assert len(selects) == levels + 1  # the own branch, then one per level
+    previous = None
+    for b in selects[1:]:
+        (membership,) = [p for p in b.where if isinstance(p, InSubquery)]
+        assert membership.a == queryir.ColumnRef("subject", "dept")
+        level = membership.query
+        assert level.tables == (queryir.TableRef("org_hierarchy"),)
+        (ou,) = level.where
+        if previous is None:
+            assert ou == queryir.ColEqConst(queryir.ColumnRef(None, "ou"), "u0")
+        else:
+            assert ou.a == queryir.ColumnRef(None, "ou") and ou.query is previous
+        previous = level
+    if levels < 10:
+        rows = evaluate(v.closed_query, d, ctx)
+        assert sorted(rows.column("subject.name")) == [f"S{k}" for k in range(levels + 1)]
 
 
 def test_rewrite_unreachable_target_raises(fixture_dataset, parker_wired):
