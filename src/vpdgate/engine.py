@@ -43,19 +43,16 @@ def run_query(d: Dataset, ctx: SessionContext, query: str | Query | None = None,
     evaluated raises for a granted request and not for a refused one; a
     UNION whose branches differ in arity raises either way.
     """
-    outcome = _decide(d, ctx, query, chain_mode, supervisor_mode, contexts, policies,
-                      join=True)
-    if outcome.rows is None:
-        return replace(outcome, rows=RowSet(vpd_schema(outcome.vpd), ()))
-    return outcome
+    return _decide(d, ctx, query, chain_mode, supervisor_mode, contexts, policies, join=True)
 
 
 def _decide(d: Dataset, ctx: SessionContext, query: str | Query | None, chain_mode: str,
             supervisor_mode: str, contexts: ContextMap | None, policies, *,
             join: bool) -> QueryOutcome:
     """The verdict, the VPD and its entailment; with join, a granted
-    request's rows too, else rows is None. Without join the VPD is
-    materialized only inside entails, for a constraint policy."""
+    request's rows, else no rows with the VPD's schema (vpd_schema).
+    Without join the VPD is materialized only inside entails, for a
+    constraint policy."""
     if isinstance(query, str):
         query = parse_query(query)
     state = check_validity(ctx.user, ctx, d, supervisor_mode, contexts)
@@ -63,6 +60,8 @@ def _decide(d: Dataset, ctx: SessionContext, query: str | Query | None, chain_mo
                     supervisor_mode=supervisor_mode, contexts=contexts)
     rows = materialize(vpd, d, ctx) if join and state.valid else None
     entailed, witness = entails(policies, vpd, d, ctx, contexts=contexts, rows=rows)
+    if rows is None:
+        rows = RowSet(vpd_schema(vpd), ())
     return QueryOutcome(state=state, vpd=vpd, rows=rows, entailed=entailed, witness=witness)
 
 
@@ -107,7 +106,6 @@ def explain(d: Dataset, ctx: SessionContext, query: str | Query, *,
     outcome = _decide(d, ctx, query, chain_mode, supervisor_mode, contexts, policies,
                       join=False)
     vpd = outcome.vpd
-    vpd_schema(vpd)  # the arity check run_query makes on every verdict
     # The first branch without the user's conditions; a supervisor's own
     # branch has its identity pinned to its name.
     first = replace(vpd.branches[0], user=())

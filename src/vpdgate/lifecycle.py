@@ -105,7 +105,7 @@ def check_validity(s: str, ctx: SessionContext, d: Dataset,
         return GrantState(s, ctx.session_id, state, since, reason)
 
     if mode == "strict" and any(subordinate_known_invalid(sub, d, contexts)
-                                for sub in linkage.subordinates(s, d)):
+                                for sub in linkage.subordinates_by_id(s, d)):
         return GrantState(s, ctx.session_id, REVOKED, since, REASON_STRICT_SUBORDINATE)
     return GrantState(s, ctx.session_id, GRANTED, since, REASON_IN_RANGE)
 

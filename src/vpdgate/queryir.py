@@ -55,6 +55,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime
+from decimal import Decimal
 from functools import lru_cache
 from itertools import accumulate, chain
 from operator import itemgetter
@@ -433,7 +434,11 @@ def parse_query(text: str) -> Query:
 def _render_literal(value: str | int | float) -> str:
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
-    return repr(value)
+    text = repr(value)
+    if "e" in text:  # the tokenizer reads a number's digits in place, without an exponent
+        text = format(Decimal(text), "f")
+        text = text if "." in text else text + ".0"
+    return text
 
 
 def render_predicate(p: Predicate) -> str:

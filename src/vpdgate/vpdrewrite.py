@@ -41,19 +41,22 @@ org_hierarchy, one nesting level per hierarchy level. The user's
 conditions are never rewritten, `sys_context:session_user` and range
 conditions included, so the VPD only ever shrinks the request.
 
-A supervisor's VPD is held as the (Select, pin) pairs its UNION
-evaluates as (queryir.evaluate_groups): each base branch pinned at its
-identity to the supervisor, and the same branch without its range gates
-pinned at its identity to every kept subordinate. Building them costs
-O(base branches + subordinates); the UNION and the closed form are built
-only when read (CLI, explain). Whether a subordinate's reported context
-fails the route check is linkage.route_verdict's decision
-(subordinate_known_invalid).
+A supervisor's VPD is evaluated as the (Select, pin) pairs of its UNION
+(queryir.evaluate_groups): each base branch pinned at its identity to
+the supervisor, and the same branch without its range gates pinned at
+its identity to every kept subordinate. expand_supervisor builds none of
+what it derives from the subordinates: the groups, the provenance that
+lists them, the UNION and the closed form are each built when first read
+(materialize, CLI, explain), so a refused request, which reads none of
+them, costs only its decision. Narrative mode decides which subordinates
+are kept when it expands, as strict mode's verdict does before it;
+whether a subordinate's reported context fails the route check is
+linkage.route_verdict's decision (subordinate_known_invalid).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -84,6 +87,7 @@ from .relstore import TABLE_COLUMNS, Dataset
 from .sessionctx import SessionContext
 
 ContextMap = dict  # subject name -> SessionContext
+Groups = tuple[tuple[Select, tuple[int, dict]], ...]  # queryir.evaluate_groups' input
 
 
 # ---------------------------------------------------------------------------
@@ -115,37 +119,50 @@ class VpdDefinition:
     """A subject's VPD: its query, where its predicates came from, and
     whether it depends on the reported location and time.
 
-    `query` and `closed_query` are each either a Query or a function that
-    builds it; a function is called on the first read and its Query kept.
-    `branches` holds the rewrite's base branches by role (Branch), in
-    union order. A supervisor's VPD of more than one branch
-    (expand_supervisor) also carries `groups`, the (Select, pin) pairs its
-    union evaluates as (queryir.evaluate_groups), so materializing it never
-    builds the union.
+    `query`, `provenance`, `closed_query` and `groups` are each either a
+    value or a function that builds it; a function is called on the first
+    read and its value kept. `branches` holds the rewrite's base branches
+    by role (Branch), in union order; every Select of the VPD is one of
+    them, pinned or without its gates, so they give its schema
+    (vpd_schema). A supervisor's VPD of more than one branch
+    (expand_supervisor) also has `groups`, the (Select, pin) pairs its
+    union evaluates as (queryir.evaluate_groups), so materializing it
+    never builds the union.
     """
 
     def __init__(self, subject: str, location_dependent: bool, time_dependent: bool,
-                 query: Query | Callable[[], Query], provenance: tuple[str, ...],
+                 query: Query | Callable[[], Query],
+                 provenance: tuple[str, ...] | Callable[[], tuple[str, ...]],
                  closed_query: Query | Callable[[], Query] | None = None,
-                 groups: tuple[tuple[Select, tuple[int, dict]], ...] | None = None,
+                 groups: Groups | Callable[[], Groups] | None = None,
                  branches: tuple[Branch, ...] = ()):
         self.subject = subject
         self.location_dependent = location_dependent
         self.time_dependent = time_dependent
-        self.provenance = provenance
-        self.groups = groups
         self.branches = branches
         self._query, self._closed_query = query, closed_query
+        self._provenance, self._groups = provenance, groups
 
     @cached_property
     def query(self) -> Query:
         return self._query() if callable(self._query) else self._query
 
     @cached_property
+    def provenance(self) -> tuple[str, ...]:
+        p = self._provenance
+        return p() if callable(p) else p
+
+    @cached_property
     def closed_query(self) -> Query | None:
         """The supervisor's closed form (expand_supervisor); None otherwise."""
         q = self._closed_query
         return q() if callable(q) else q
+
+    @cached_property
+    def groups(self) -> Groups | None:
+        """The supervisor's (Select, pin) pairs (expand_supervisor); None otherwise."""
+        g = self._groups
+        return g() if callable(g) else g
 
 
 @dataclass(frozen=True)
@@ -369,14 +386,18 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
     subordinate's branch is the supervisor's without the range gates and
     with the identity pinned to the subordinate's name; the user's
     conditions are copied verbatim. In narrative mode subordinates whose
-    reported context fails the route check are dropped. The closed form
-    replaces the identity by department membership over org_hierarchy and
-    is attached as closed_query; both forms evaluate identically whenever
-    no subordinate is known-invalid.
+    reported context fails the route check are dropped, decided here, so
+    the VPD keeps the verdicts of the contexts map it was built under.
+    Strict mode reads no contexts map and keeps every subordinate. The
+    closed form replaces the identity by department membership over
+    org_hierarchy and is attached as closed_query; both forms evaluate
+    identically whenever no subordinate is known-invalid.
 
-    Neither form is built here: each is built when first read. The VPD is
-    evaluated from its groups (_union_groups), which cost O(base branches
-    + subordinates), not a Select per subordinate.
+    Nothing derived from the subordinates is built here: the groups
+    (_union_groups), the provenance listing them, the union and the
+    closed form are each built when first read. So expanding costs the
+    narrative verdicts alone, and a strict expansion O(1) once the
+    subordinates are known (linkage.subordinates_by_id).
     """
     if supervisor_mode not in linkage.SUPERVISOR_MODES:
         raise ValueError(f"unknown supervisor mode: {supervisor_mode!r}")
@@ -384,15 +405,16 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
     if not subs:
         return base
 
-    kept, dropped = [], []
-    for sub in subs:
-        invalid = supervisor_mode == "narrative" and subordinate_known_invalid(sub, d, contexts)
-        (dropped if invalid else kept).append(sub)
+    kept, dropped = subs, ()
+    if supervisor_mode == "narrative":
+        kept, dropped = [], []
+        for sub in subs:
+            (dropped if subordinate_known_invalid(sub, d, contexts) else kept).append(sub)
 
-    provenance = base.provenance + (f"supervisor:{supervisor_mode}",
-                                    f"subordinates:{','.join(subs)}")
-    if dropped:
-        provenance += (f"dropped-invalid:{','.join(dropped)}",)
+    def provenance() -> tuple[str, ...]:
+        out = base.provenance + (f"supervisor:{supervisor_mode}",
+                                 f"subordinates:{','.join(subs)}")
+        return out + (f"dropped-invalid:{','.join(dropped)}",) if dropped else out
 
     return VpdDefinition(
         subject=s,
@@ -401,11 +423,11 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
         query=lambda: _expanded_union(base.branches, s, kept),
         provenance=provenance,
         closed_query=lambda: _closed_union(base.branches, s, d),
-        groups=_union_groups(base.branches, s, kept),
+        groups=lambda: _union_groups(base.branches, s, kept),
         branches=base.branches)
 
 
-def _expanded_union(branches: tuple[Branch, ...], s: str, kept: list[str]) -> Query:
+def _expanded_union(branches: tuple[Branch, ...], s: str, kept: Sequence[str]) -> Query:
     """The supervisor's own branches (gates kept), then each kept
     subordinate's gate-free branches, pinned by name."""
     return _union_of([b.select(s) for b in branches]
@@ -429,8 +451,7 @@ def _closed_union(branches: tuple[Branch, ...], s: str, d: Dataset) -> Query:
     return _union_of(closed)
 
 
-def _union_groups(branches: tuple[Branch, ...], s: str,
-                  kept: list[str]) -> tuple[tuple[Select, tuple[int, dict]], ...] | None:
+def _union_groups(branches: tuple[Branch, ...], s: str, kept: Sequence[str]) -> Groups | None:
     """The (Select, pin) pairs that evaluate as the expanded union, without building it.
 
     Each base branch is one Select pinned at its identity to the
@@ -455,7 +476,8 @@ def _union_groups(branches: tuple[Branch, ...], s: str,
 # ---------------------------------------------------------------------------
 
 def materialize(v: VpdDefinition, d: Dataset, ctx: SessionContext) -> RowSet:
-    """Evaluate the VPD, by its groups when it has them.
+    """Evaluate the VPD, by its groups when it has them; a supervisor's
+    groups are built here, on this first read.
 
     A wireless VPD's range gates refuse what the lifecycle refuses; a
     strict supervisor revoked for a subordinate is refused only by the
@@ -468,9 +490,11 @@ def materialize(v: VpdDefinition, d: Dataset, ctx: SessionContext) -> RowSet:
 
 
 def vpd_schema(v: VpdDefinition) -> tuple[str, ...]:
-    """The schema materialize(v) returns, derived from v's Selects without joining."""
-    selects = [sel for sel, _ in v.groups] if v.groups is not None else union_branches(v.query)
-    return union_schema(selects)
+    """The schema materialize(v) returns, derived without joining from the
+    base branches' FROM tables and projections, which every Select of v
+    shares; a VPD without branches (built by hand) takes its query's
+    Selects. It builds no Select and reads no group."""
+    return union_schema(v.branches or union_branches(v.query))
 
 
 def _check_head_of_ou(v: VpdDefinition, rows: RowSet, d: Dataset,

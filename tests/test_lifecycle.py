@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +192,44 @@ def test_context_immutability(fixture_dataset, parker_mobile):
     import dataclasses
     with pytest.raises(dataclasses.FrozenInstanceError):
         parker_mobile.user = "Chris"
+
+
+# The strict check decides subordinates in subject-id order and stops at
+# the first known-invalid one, so which subordinates it decides must not
+# depend on str hashing.
+_STRICT_CALLS = """
+import random
+from vpdgate import lifecycle, linkage
+from vpdgate.sessionctx import open_session
+from randgen import random_contexts, random_dataset
+decided = []
+real = lifecycle.subordinate_known_invalid
+
+def counted(s, d, contexts):
+    decided.append(s)
+    return real(s, d, contexts)
+
+lifecycle.subordinate_known_invalid = counted
+for seed in range(200):
+    d = random_dataset(random.Random(seed))
+    contexts = random_contexts(random.Random(seed), d)
+    for s in d.subjects:
+        if linkage.subordinates(s.name, d):
+            ctx = open_session(s.name, None, None, d)
+            state = lifecycle.check_validity(s.name, ctx, d, "strict", contexts)
+            print(s.name, state.state, len(decided), decided[-1:])
+"""
+
+
+def test_strict_check_decides_the_same_subordinates_under_any_hash_seed():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, (str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", _STRICT_CALLS], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(" REVOKED ") > 20

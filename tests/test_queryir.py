@@ -210,6 +210,18 @@ def test_parse_render_parse_fixpoint(q):
     assert once == q
 
 
+def test_float_literals_print_without_an_exponent():
+    """Regression: repr() printed 1e-05 and 1.2345678901234569e+23, which the
+    tokenizer refuses, so such a query's (and VPD's) text did not parse back."""
+    for literal in ("0.00001", "-0.000000000000000000001", "123456789012345678901234.5",
+                    "10000000000000000.0", "0.0001", "0.1", "-0.0", "7"):
+        q = parse_query(f"select * from object where oid = {literal}")
+        printed = render_query(q)
+        assert "e" not in printed.split(" = ")[1]
+        assert parse_query(printed) == q, printed
+        assert render_query(parse_query(printed)) == printed
+
+
 def _random_small_dataset(rng):
     from randgen import random_dataset
     return random_dataset(rng)

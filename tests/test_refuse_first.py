@@ -9,30 +9,35 @@ pin the declared change (a WHERE clause that fails only when evaluated
 no longer raises for a refused request), and check the outcome and the
 explain text against the order the pipeline used before: materialize,
 entail, then blank. explain prints no rows, so it joins only when a
-constraint policy must check them.
+constraint policy must check them. A refused strict supervisor builds
+nothing from its subordinates (no groups, no pinned Select, no verdict
+outside the validity check), and reading its VPD afterwards gives what
+an eager expansion built.
 """
 
 from __future__ import annotations
 
 import random
+import traceback
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpdgate import engine, linkage, queryir, vpdrewrite
+from vpdgate import engine, lifecycle, linkage, queryir, vpdrewrite
 from vpdgate.errors import VpdGateError
 from vpdgate.lifecycle import DENIED, GRANTED, REVOKED, build_vpd, check_validity
-from vpdgate.queryir import RowSet, parse_query, render_query
-from vpdgate.relstore import TABLE_COLUMNS
+from vpdgate.queryir import RowSet, parse_query, render_query, union_branches
+from vpdgate.relstore import TABLE_COLUMNS, load_dataset
 from vpdgate.sessionctx import open_session
 from vpdgate.timeutil import parse_timestamp
-from vpdgate.vpdrewrite import HEAD_OF_OU_POLICY, DomainPolicy, entails, materialize
+from vpdgate.vpdrewrite import (HEAD_OF_OU_POLICY, DomainPolicy, entails, materialize,
+                                rewrite)
 
 from conftest import MEXICO_CITY, MIAMI
 from randgen import crossed_contexts, random_contexts, random_dataset
-from test_grouped_vpd import QUERIES
+from test_grouped_vpd import QUERIES, _expected_union_text, _wide_org
 
 AUG_20 = parse_timestamp("2010-08-20T12:00:00Z")  # inside t1's window
 SEP_1 = parse_timestamp("2010-09-01T00:00:00Z")  # inside t1's window, after t5's
@@ -147,6 +152,82 @@ def test_explain_joins_only_for_a_constraint_policy(fixture_dataset, monkeypatch
         outcome = engine.run_query(d, chris, "select * from object", policies=policies,
                                    **kwargs)
         assert outcome.state.state == state and outcome.entailed
+
+
+# ---------------------------------------------------------------------------
+# A refused strict supervisor builds nothing from its subordinates
+# ---------------------------------------------------------------------------
+
+AUG_5 = parse_timestamp("2010-08-05T00:00:00Z")  # inside every carrier window of _wide_org
+
+
+def _wide_org_with_lead():
+    """_wide_org with a leaf-tier manager, Lead, over Unit1 (Field1, Field51, ...)."""
+    doc = _wide_org()
+    doc["subject"].append({"id": "q0", "name": "Lead", "title": "Manager",
+                           "specialty": "-", "dept": "Lead-unit"})
+    doc["org_hierarchy"] += [{"ou": "Root", "sub_ou": "Lead-unit"},
+                             {"ou": "Lead-unit", "sub_ou": "Unit1"}]
+    return load_dataset(doc)
+
+
+def test_refused_strict_supervisor_builds_nothing_from_its_subordinates(monkeypatch):
+    d = _wide_org_with_lead()
+    contexts = {"Field1": open_session("Field1", MEXICO_CITY, AUG_5, d)}  # rides c1, off route
+    real_groups, real_select = vpdrewrite._union_groups, vpdrewrite.Branch.select
+    real_invalid = vpdrewrite.subordinate_known_invalid
+    for who in ("Boss", "Lead"):
+        subs = linkage.subordinates_by_id(who, d)
+        ctx = open_session(who, None, None, d)
+        groups_built, pinned, deciders = [], [], []
+
+        def groups_(*args):
+            groups_built.append(args)
+            return real_groups(*args)
+
+        def select_(branch, name=None, gated=True):
+            pinned.append(name)
+            return real_select(branch, name, gated)
+
+        def invalid_(s, d, contexts):
+            deciders.append({frame.name for frame in traceback.extract_stack()})
+            return real_invalid(s, d, contexts)
+
+        monkeypatch.setattr(vpdrewrite, "_union_groups", groups_)
+        monkeypatch.setattr(vpdrewrite.Branch, "select", select_)
+        monkeypatch.setattr(vpdrewrite, "subordinate_known_invalid", invalid_)
+        monkeypatch.setattr(lifecycle, "subordinate_known_invalid", invalid_)
+        outcome = engine.run_query(d, ctx, "select * from object", supervisor_mode="strict",
+                                   contexts=contexts)
+        monkeypatch.undo()
+
+        assert (outcome.state.state, outcome.state.reason) == \
+            (REVOKED, "strict-subordinate-invalid")
+        assert outcome.rows == RowSet(OBJECT_SCHEMA, ())
+        assert groups_built == [] and not set(pinned) & set(subs)
+        assert deciders and all("check_validity" in names and "expand_supervisor" not in names
+                                for names in deciders)
+
+        # Read afterwards, the VPD is the one an eager expansion built.
+        base = rewrite(parse_query("select * from object"), ctx, d)
+        assert outcome.vpd.provenance == base.provenance + (
+            "supervisor:strict", f"subordinates:{','.join(subs)}")
+        assert [(sel, list(pin[1]), pin[0]) for sel, pin in outcome.vpd.groups] == \
+            [(sel, [who, *subs], 0) for sel in union_branches(base.query)]
+        assert render_query(outcome.vpd.query) == _expected_union_text(base, d, who)
+
+
+def test_narrative_vpd_keeps_the_verdicts_of_the_map_it_was_built_under(fixture_dataset):
+    d = fixture_dataset
+    chris = open_session("Chris", None, None, d)
+    contexts = {"Parker": open_session("Parker", MEXICO_CITY, AUG_20, d)}
+    outcome = engine.run_query(d, chris, "select * from object", contexts=contexts)
+    built = build_vpd(chris, d, "select * from object", contexts=dict(contexts))
+    contexts.clear()  # the caller's map changes after the request returned
+    assert "dropped-invalid:Parker" in outcome.vpd.provenance
+    assert outcome.vpd.provenance == built.provenance
+    assert render_query(outcome.vpd.query) == render_query(built.query)
+    assert outcome.vpd.groups == built.groups
 
 
 # ---------------------------------------------------------------------------
