@@ -12,6 +12,9 @@ The grammar is the minimal closure of the queries the engine rewrites:
              | col IN ( query )
              | sys_context:key IN range(subject, location|time)
 
+A range gate's subject is an identifier or, for a name that is not one,
+a string literal.
+
 The range gates of a Select naming one subject are decided together,
 as one report, by linkage.route_verdict, as the lifecycle decides it; a
 key with no gate is not constrained.
@@ -407,14 +410,17 @@ class _Parser:
         if fn.text != "range":
             raise QuerySyntaxError(f"expected range(...), found {fn.text!r}", fn.pos)
         self.expect_op("(")
-        subject = self.ident("subject name")
+        if self.peek().kind == "string":
+            subject = self.next().text[1:-1].replace("''", "'")
+        else:
+            subject = self.ident("subject name").text
         self.expect_op(",")
         kind = self.ident("range kind")
         if kind.text not in RANGE_KINDS:
             raise QuerySyntaxError(f"range kind must be location or time, got {kind.text!r}",
                                    kind.pos)
         self.expect_op(")")
-        return InRange(key.text, RangeRef(subject.text, kind.text))
+        return InRange(key.text, RangeRef(subject, kind.text))
 
 
 @lru_cache(maxsize=PARSE_MEMO_SIZE)
@@ -441,6 +447,16 @@ def _render_literal(value: str | int | float) -> str:
     return text
 
 
+def _render_name(name: str) -> str:
+    """A range gate's subject: bare when it reads back as that one
+    identifier, else a string literal (the parser takes both)."""
+    m = _TOKEN_RE.fullmatch(name)
+    if m is not None and m.lastgroup == "ident" \
+            and name.upper() not in _KEYWORDS | _UNSUPPORTED_KEYWORDS:
+        return name
+    return _render_literal(name)
+
+
 def render_predicate(p: Predicate) -> str:
     """One predicate's canonical text, as a WHERE clause prints it."""
     if isinstance(p, ColEqCol):
@@ -450,7 +466,7 @@ def render_predicate(p: Predicate) -> str:
     if isinstance(p, ColEqContext):
         return f"{p.a} = sys_context:{p.key}"
     if isinstance(p, InRange):
-        return f"sys_context:{p.key} IN range({p.range.subject}, {p.range.kind})"
+        return f"sys_context:{p.key} IN range({_render_name(p.range.subject)}, {p.range.kind})"
     if isinstance(p, InSubquery):
         return f"{p.a} IN ({render_query(p.query)})"
     raise TypeError(f"not a predicate: {p!r}")

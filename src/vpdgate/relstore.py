@@ -20,9 +20,14 @@ linkage walks, the memo of each supervisor's subordinates
 (Dataset.subordinate_closures), and the two memos of linkage.route_verdict:
 each subject's route ranges (Dataset.route_ranges) and the bounded memo of
 corridor tests, keyed by carrier and location but not by time
-(Dataset.corridor_tests). A mutation helper's new version, or a
-replace(d, manifest=...), starts with empty caches, so no cache can go
-stale: a wider corridor is never answered from a narrower one's tests.
+(Dataset.corridor_tests). A mutation helper's new version starts with
+what the old one built and the mutation cannot change: the structures of
+the other tables, the route ranges of every subject but the one whose
+assignment changed, and the corridor tests, since no mutation moves a
+route or changes the manifest (incremental view maintenance). Everything
+else, the subordinate memo included, starts empty, as does every cache of
+a replace(d, manifest=...): a wider corridor is never answered from a
+narrower one's tests.
 
 Sources are either a directory of CSV files (one per table, headers in
 lower_snake_case, plus geocode.csv mapping place names to coordinates and
@@ -307,21 +312,64 @@ class Dataset:
         there, for the lifecycle, supervisor expansion and range gates."""
         return {}
 
-    # Mutation helpers used by the scenario runner; each returns a new version.
+    # Mutation helpers used by the scenario runner; each returns a new version
+    # that keeps what this one has built and the change cannot alter.
 
     def with_assignment(self, subject_id: str, carrier_id: str) -> "Dataset":
-        return replace(self, assignments=self.assignments
-                       + (AssignmentRecord(subject_id, carrier_id),))
+        return self._derived("assignment", self.assignments
+                             + (AssignmentRecord(subject_id, carrier_id),), subject_id)
 
     def without_assignment(self, subject_id: str, carrier_id: str) -> "Dataset":
         kept = tuple(a for a in self.assignments
                      if not (a.subject_id == subject_id and a.carrier_id == carrier_id))
-        return replace(self, assignments=kept)
+        return self._derived("assignment", kept, subject_id)
 
     def with_object_carrier(self, oids: tuple[str, ...], carrier_id: str | None) -> "Dataset":
         moved = frozenset(oids)
-        return replace(self, objects=tuple(o._replace(carrier_id=carrier_id)
-                                           if o.oid in moved else o for o in self.objects))
+        return self._derived("object", tuple(o._replace(carrier_id=carrier_id)
+                                             if o.oid in moved else o for o in self.objects))
+
+    def _derived(self, table: str, rows: tuple, subject_id: str | None = None) -> "Dataset":
+        """This version with `table` (assignment or object) holding `rows`.
+
+        The new version starts with this one's lazily built structures of
+        the other tables: their lookups, indexes and row views. A changed
+        assignment of subject_id drops only that subject's route ranges. No
+        mutation changes a route or the manifest, so the corridor tests
+        stay true; they are kept while within linkage.VERDICT_MEMO_SIZE.
+        A dict that later reads add to is copied, so this version never
+        changes; subordinate_closures starts empty.
+        """
+        from .linkage import VERDICT_MEMO_SIZE  # linkage imports this module
+
+        new = replace(self, **{_RECORDS[table]: rows})
+        built, carried = self.__dict__, new.__dict__
+        for name, source in _LOOKUP_SOURCES.items():
+            if source != table and name in built:
+                carried[name] = built[name]
+        if "_tables" in built:
+            carried["_tables"] = {**built["_tables"], table: rows}
+        # Each copy is taken first: a reader may add to this version's dicts meanwhile.
+        if "_indexes" in built:
+            carried["_indexes"] = {key: index for key, index in dict(built["_indexes"]).items()
+                                   if key[0] != table}
+        if "route_ranges" in built:
+            carried["route_ranges"] = {
+                name: ranges for name, ranges in dict(built["route_ranges"]).items()
+                if subject_id is None or self.subject_by_name[name].id != subject_id}
+        if "corridor_tests" in built and len(built["corridor_tests"]) <= VERDICT_MEMO_SIZE:
+            carried["corridor_tests"] = dict(built["corridor_tests"])
+        return new
+
+
+# The Dataset field that holds each table a mutation helper changes.
+_RECORDS = {"assignment": "assignments", "object": "objects"}
+
+# Each lazily built lookup of a Dataset, by the table it is built from.
+_LOOKUP_SOURCES = {"subject_by_name": "subject", "carrier_by_id": "carrier",
+                   "object_by_id": "object", "_assignments_by_subject": "assignment",
+                   "org_children": "org_hierarchy", "org_parents": "org_hierarchy",
+                   "subjects_by_dept": "subject"}
 
 
 def _grouped(pairs) -> dict:

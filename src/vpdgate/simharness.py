@@ -8,7 +8,11 @@ byte-identical event log.
 
 After every step the runner re-evaluates validity for each logged-in
 subject (in subject-id order) against the dataset version as mutated so
-far, appending the lifecycle transition events.
+far, appending the lifecycle transition events. Each step's sessions are
+the SessionContexts open_session would give, built from values checked
+once: the step clock is taken to UTC once per step, a position is checked
+by geo.as_point when a logged-in subject first uses it after its move,
+and a session id is made once per subject, at its first login.
 
 Step rules are written once. ``load_scenario`` refuses a malformed step
 (an unknown action or chain mode, a bad timestamp, a missing field, half
@@ -34,8 +38,8 @@ from .lifecycle import AccessEvent, GrantState, on_context_update
 from .linkage import CHAIN_MODES
 from .queryir import parse_query
 from .relstore import Dataset, ValidationReport, Violation, read_json
-from .sessionctx import open_session
-from .timeutil import parse_timestamp
+from .sessionctx import SessionContext
+from .timeutil import as_utc, parse_timestamp
 
 ACTIONS = ("move", "login", "query", "join", "leave", "handover")
 
@@ -197,21 +201,33 @@ def run_scenario(sc: Scenario, d: Dataset, *, supervisor_mode: str = "narrative"
     that cannot be applied raises ScenarioError with the log so far.
     """
     dataset = d
-    positions: dict[str, Point] = {}
+    positions: dict[str, Point] = {}  # as the move steps reported them
+    points: dict[str, Point | None] = {}  # positions normalised, until the next move
+    session_ids: dict[str, str] = {}
     logged_in: list[str] = []
+    order: list[str] = []  # logged_in in subject-id order
     states: dict[str, GrantState] = {}
     events: list[AccessEvent] = []
     query_results: list[tuple[str, str, tuple[str, ...]]] = []
 
     for index, step in _replay_order(sc):
-        now = step.at
+        now = as_utc(step.at)
         dataset = _apply(dataset, positions, logged_in, index, step, partial_log=events)
-        # One session per logged-in subject, for the query and the re-evaluation.
-        contexts = {s: open_session(s, positions.get(s),
-                                    now if positions.get(s) is not None else None, dataset,
-                                    session_id=f"sim-{dataset.subject_by_name[s].id}",
-                                    opened_at=now)
-                    for s in logged_in}
+        if step.action == "move":
+            points.pop(step.subject, None)
+        elif step.action == "login" and step.subject not in session_ids:
+            session_ids[step.subject] = f"sim-{dataset.subject_by_name[step.subject].id}"
+            order = sorted(logged_in, key=lambda s: dataset.subject_by_name[s].id)
+        # One session per logged-in subject, for the query and the re-evaluation:
+        # what open_session would give, from values checked once.
+        contexts = {}
+        for s in logged_in:
+            if s not in points:
+                p = positions.get(s)
+                points[s] = None if p is None else as_point(p)
+            point = points[s]
+            contexts[s] = SessionContext(session_ids[s], s, point,
+                                         None if point is None else now, now)
         if step.action == "query":
             rows = run_query(dataset, contexts[step.subject], step.text, chain_mode=step.mode,
                              supervisor_mode=supervisor_mode, contexts=contexts).rows
@@ -222,7 +238,6 @@ def run_scenario(sc: Scenario, d: Dataset, *, supervisor_mode: str = "narrative"
             query_results.append((step.at.isoformat(), step.subject, oids))
 
         # Re-evaluate everyone with an open session against the new state.
-        order = sorted(logged_in, key=lambda s: dataset.subject_by_name[s].id)
         for subject in order:
             state, evs = on_context_update(subject, contexts[subject], dataset,
                                            states.get(subject), mode=supervisor_mode,

@@ -8,7 +8,9 @@ crossed report (position on one carrier's route, time in another's
 window and, where the windows allow, outside the first one's) takes its
 time from the subject's own other carrier when it is assigned to two,
 the case where separate location and time checks would both pass.
-Everything is driven by a seeded Random, so a sweep is reproducible.
+random_scenario draws a scenario over such a dataset that replays
+without a refusal. Everything is driven by a seeded Random, so a sweep is
+reproducible.
 """
 
 from __future__ import annotations
@@ -107,16 +109,26 @@ def _carriers(rng: random.Random) -> list[dict]:
     return out
 
 
-def random_dataset(rng: random.Random) -> Dataset:
+# Subject names a query text cannot hold as an identifier: a space, a
+# quote, a leading digit, a keyword, other scripts. KEYWORD_NAMES has one
+# name per subject index, so names stay distinct.
+NAME_FORMS = ("Sub{}", "Sub {}", "O'Sub{}", "{}Sub", "Süb{}", "東{}", None)
+KEYWORD_NAMES = ("select", "range", "union", "from", "where", "and", "in", "order")
+
+
+def random_dataset(rng: random.Random, *, awkward_names: bool = False) -> Dataset:
+    """A random dataset whose subjects are Sub1, Sub2, ...; with awkward_names,
+    each name takes a form drawn from NAME_FORMS (None: a keyword)."""
     edges, ous = _org_edges(rng)
     carriers = _carriers(rng)
 
     n_subjects = rng.randint(2, 8)
     subjects = []
     for i in range(n_subjects):
+        form = rng.choice(NAME_FORMS) if awkward_names else "Sub{}"
         subjects.append({
             "id": f"p{i + 1:02d}",
-            "name": f"Sub{i + 1}",
+            "name": KEYWORD_NAMES[i] if form is None else form.format(i + 1),
             "title": rng.choice(["Driver", "Sailor", "Manager", "Clerk"]),
             "specialty": rng.choice(GOODS + ["-"] * len(GOODS)),
             "dept": rng.choice(ous),
@@ -216,15 +228,17 @@ def _far_point(rng: random.Random, d: Dataset) -> tuple[float, float]:
     return (-89.0, 0.0)
 
 
+def _managers(d: Dataset) -> set[str]:
+    """Names of the subjects with subordinates (the managing tier)."""
+    descendants = _descendant_map([{"ou": e.ou, "sub_ou": e.sub_ou} for e in d.org_edges])
+    return {s.name for s in d.subjects
+            if any(o.dept in descendants.get(s.dept, set())
+                   for o in d.subjects if o.name != s.name)}
+
+
 def random_contexts(rng: random.Random, d: Dataset) -> dict[str, SessionContext]:
     """Reported context per subject: none / wired / wireless variants."""
-    has_subordinates = set()
-    descendants = _descendant_map([{"ou": e.ou, "sub_ou": e.sub_ou} for e in d.org_edges])
-    for s in d.subjects:
-        below = descendants.get(s.dept, set())
-        if any(o.dept in below for o in d.subjects if o.name != s.name):
-            has_subordinates.add(s.name)
-
+    has_subordinates = _managers(d)
     out: dict[str, SessionContext] = {}
     for s in d.subjects:
         roll = rng.random()
@@ -272,3 +286,79 @@ def crossed_contexts(rng: random.Random, d: Dataset) -> dict[str, SessionContext
         out[s.name] = open_session(s.name, _route_point(rng, carrier), t, d,
                                    session_id=f"x-{s.id}", opened_at=t)
     return out
+
+
+def _stamp(t) -> str:
+    return t.isoformat().replace("+00:00", "Z")
+
+
+def random_scenario(rng: random.Random, d: Dataset) -> dict:
+    """A scenario document over d that replays without a refusal.
+
+    Its steps log subjects in, move them (onto a route point, or far from
+    every route, at a clock that runs from before the first departure to
+    after the last arrival, so that a report falls in, out of or across
+    windows), join and leave carriers (a leave may take a subject's last
+    carrier), hand objects over between carriers and query. As randgen's
+    contexts do, only subjects without subordinates move. Stamps never fall
+    in replay order and often repeat; the blocks of equal stamps are then
+    shuffled in file order half the time, so the file may go back in time.
+    """
+    managers = _managers(d)
+    movers = [s.name for s in d.subjects if s.name not in managers]
+    names = [s.name for s in d.subjects]
+    ids = {s.name: s.id for s in d.subjects}
+    carriers = list(d.carriers)
+    assigned = [(a.subject_id, a.carrier_id) for a in d.assignments]
+    on = {o.oid: o.carrier_id for o in d.objects}
+    logged_in: list[str] = []
+    start = BASE_TIME - timedelta(days=1)
+    end = max((c.arrival for c in carriers), default=BASE_TIME) + timedelta(days=2)
+    hop = int((end - start).total_seconds()) // 8
+    t = start
+    steps = []
+    for _ in range(rng.randint(1, 24)):
+        if rng.random() < 0.75:
+            t += timedelta(seconds=rng.randint(1, hop))
+        kinds = ["login", "move"] * 2 if movers else ["login"]
+        kinds += ["query"] * 2 if logged_in else []
+        kinds += ["join", "handover"] if carriers else []
+        kinds += ["leave"] if assigned else []
+        kind = rng.choice(kinds)
+        step = {"at": _stamp(t), "action": kind}
+        if kind == "login":
+            step["subject"] = rng.choice(names)
+            if step["subject"] not in logged_in:
+                logged_in.append(step["subject"])
+        elif kind == "move":
+            step["subject"] = rng.choice(movers)
+            own = [c for c in carriers if (ids[step["subject"]], c.id) in assigned]
+            if carriers and rng.random() < 0.75:
+                point = _route_point(rng, rng.choice(own or carriers))
+            else:
+                point = _far_point(rng, d)
+            step["lat"], step["lon"] = point
+        elif kind == "query":
+            step.update(subject=rng.choice(logged_in), text="select * from object",
+                        mode=rng.choice(("workflow", "specialty", "direct")))
+        elif kind == "join":
+            step.update(subject=rng.choice(names), carrier=rng.choice(carriers).id)
+            assigned.append((ids[step["subject"]], step["carrier"]))
+        elif kind == "leave":
+            subject_id, carrier_id = rng.choice(assigned)
+            step.update(subject=next(n for n in names if ids[n] == subject_id), carrier=carrier_id)
+            assigned = [pair for pair in assigned if pair != (subject_id, carrier_id)]
+        else:  # handover
+            source, target = rng.choice(carriers).id, rng.choice(carriers).id
+            held = [oid for oid, cid in on.items() if cid == source]
+            moved = rng.sample(held, rng.randint(0, len(held)))
+            on.update((oid, target) for oid in moved)
+            step.update({"objects": moved, "from": source, "to": target})
+        steps.append(step)
+    blocks: dict[str, list[dict]] = {}
+    for step in steps:
+        blocks.setdefault(step["at"], []).append(step)
+    order = list(blocks)
+    if rng.random() < 0.5:
+        rng.shuffle(order)
+    return {"name": "random", "steps": [step for stamp in order for step in blocks[stamp]]}

@@ -1,14 +1,21 @@
 import json
+import random
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpdgate import lifecycle, linkage, relstore, simharness
+from vpdgate import lifecycle, linkage, oracle, relstore, simharness
 from vpdgate.errors import ScenarioError
+from vpdgate.lifecycle import (DENIED, DENY, GRANT, GRANTED, REVOKE, REVOKED, VPD_CHANGED,
+                               AccessEvent)
+from vpdgate.sessionctx import SessionContext, open_session
 from vpdgate.simharness import load_scenario, run_scenario, validate_scenario
 from vpdgate.timeutil import parse_timestamp
+
+from randgen import random_dataset, random_scenario
 
 SCENARIO_PATH = relstore.bundled_data_dir("scenarios") / "ship_truck_handover.json"
 
@@ -82,6 +89,46 @@ def test_permutation_safety(scenario, handover_dataset):
     other = run_scenario(permuted, handover_dataset)
     assert lifecycle.render_event_log(base.events) == \
         lifecycle.render_event_log(other.events)
+
+
+def test_each_session_is_the_one_open_session_gives(scenario, handover_dataset, monkeypatch):
+    seen = []
+    real = simharness.on_context_update
+
+    def update(s, ctx, d, prior, **kwargs):
+        seen.append((s, ctx, d))
+        return real(s, ctx, d, prior, **kwargs)
+
+    monkeypatch.setattr(simharness, "on_context_update", update)
+    run_scenario(scenario, handover_dataset)
+    assert len(seen) > 100
+    for s, ctx, d in seen:
+        assert ctx == open_session(s, ctx.location, ctx.timestamp, d, session_id=ctx.session_id,
+                                   opened_at=ctx.opened_at)
+        assert ctx.session_id == f"sim-{d.subject_by_name[s].id}"
+
+
+def _hand_built(steps) -> simharness.Scenario:
+    return simharness.Scenario("hand-built", tuple(simharness.ScenarioStep(**s) for s in steps))
+
+
+def test_a_hand_built_scenario_takes_a_naive_clock_as_utc(scenario, handover_dataset):
+    naive = simharness.Scenario("naive", tuple(replace(step, at=step.at.replace(tzinfo=None))
+                                               for step in scenario.steps))
+    assert lifecycle.render_event_log(run_scenario(naive, handover_dataset).events) == \
+        lifecycle.render_event_log(run_scenario(scenario, handover_dataset).events)
+
+
+def test_a_hand_built_bad_location_is_refused_when_a_session_uses_it(handover_dataset):
+    at = parse_timestamp("2010-07-02T00:00:00Z")
+    bad = [dict(at=at, action="move", subject="Victor", location=(95.0, 121.4737))]
+    login = [dict(at=at + timedelta(hours=1), action="login", subject="Victor")]
+    assert run_scenario(_hand_built(bad), handover_dataset).events == []
+    with pytest.raises(ValueError, match="outside valid range"):
+        run_scenario(_hand_built(bad + login), handover_dataset)
+    as_list = [dict(bad[0], location=[31.2304, 121.4737])]
+    result = run_scenario(_hand_built(as_list + login), handover_dataset)
+    assert [e.transition for e in result.events] == ["GRANT", "VPD_CHANGED"]
 
 
 def test_handover_moves_objects(scenario, handover_dataset):
@@ -240,17 +287,149 @@ _steps = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(_steps, max_size=10))
-def test_validate_reports_exactly_the_steps_the_runner_refuses(handover_dataset, steps):
-    sc = load_scenario({"name": "mixed", "steps": steps})
-    refused = [v for v in validate_scenario(sc, handover_dataset)
-               if v.kind != "time-regression"]
+def assert_validate_matches_runner(sc, d) -> None:
+    """validate_scenario reports exactly the steps run_scenario refuses,
+    the first of them with the runner's own message."""
+    refused = [v for v in validate_scenario(sc, d) if v.kind != "time-regression"]
     try:
-        run_scenario(sc, handover_dataset)
+        run_scenario(sc, d)
     except ScenarioError as exc:
         assert refused, f"runner refused what validation passed: {exc}"
         assert str(exc).startswith(f"step {refused[0].key} (")
         assert str(exc) == refused[0].message
     else:
         assert not refused, [str(v) for v in refused]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_steps, max_size=10))
+def test_validate_reports_exactly_the_steps_the_runner_refuses(handover_dataset, steps):
+    assert_validate_matches_runner(load_scenario({"name": "mixed", "steps": steps}),
+                                   handover_dataset)
+
+
+# ---------------------------------------------------------------------------
+# Random scenarios against a replay decided record by record
+# ---------------------------------------------------------------------------
+
+def _supervisors(name: str, d) -> list[str]:
+    """Subjects in the units above name's dept, nearest unit first, ties by name."""
+    dept = next(s.dept for s in d.subjects if s.name == name)
+    level, seen, frontier, distance = {}, {dept}, {dept}, 0
+    while frontier:
+        distance += 1
+        frontier = {e.ou for e in d.org_edges if e.sub_ou in frontier and e.ou not in seen}
+        seen |= frontier
+        level.update(dict.fromkeys(frontier, distance))
+    return [s.name for s in sorted(d.subjects, key=lambda s: (level.get(s.dept, 0), s.name))
+            if s.dept in level]
+
+
+def _decide(name: str, ctx, d, mode: str, contexts) -> tuple[str, str]:
+    """(state, reason) of one session, from the oracle's record-by-record checks."""
+    if ctx.location is not None:
+        subject_id = next(s.id for s in d.subjects if s.name == name)
+        carriers = oracle._carriers_of(subject_id, d)
+        if not carriers:
+            return DENIED, linkage.REASON_NO_ASSIGNMENT
+        if oracle._route_valid(name, ctx.location, ctx.timestamp, d):
+            return GRANTED, linkage.REASON_IN_RANGE
+        if any(c.departure <= ctx.timestamp <= c.arrival for c in carriers):
+            return REVOKED, linkage.REASON_OUT_OF_ROUTE
+        return REVOKED, linkage.REASON_OUT_OF_TIME
+    if mode == "strict" and any(oracle._known_invalid(sub, d, contexts)
+                                for sub in oracle._subordinate_names(name, d)):
+        return REVOKED, lifecycle.REASON_STRICT_SUBORDINATE
+    return GRANTED, linkage.REASON_IN_RANGE
+
+
+def reference_replay(doc: dict, d, mode: str):
+    """The events, final (state, reason) per subject and query answers of
+    doc's replay on d, decided from scratch after every step: each version
+    is a fresh Dataset of the records so far, each verdict the oracle's, and
+    the events the transitions lifecycle.on_context_update's docstring
+    names. Query steps must be `select * from object`."""
+    steps = sorted(doc["steps"], key=lambda step: parse_timestamp(step["at"]))
+    assignments, objects = list(d.assignments), list(d.objects)
+    positions, logged_in, states = {}, [], {}  # states: name -> (state, reason)
+    events, answers = [], []
+    ids = {s.name: s.id for s in d.subjects}
+    for step in steps:
+        now, action, name = parse_timestamp(step["at"]), step["action"], step.get("subject")
+        if action == "move":
+            positions[name] = (float(step["lat"]), float(step["lon"]))
+        elif action == "login" and name not in logged_in:
+            logged_in.append(name)
+        elif action == "join":
+            assignments.append(relstore.AssignmentRecord(ids[name], step["carrier"]))
+        elif action == "leave":
+            assignments = [a for a in assignments if a != (ids[name], step["carrier"])]
+        elif action == "handover":
+            objects = [o._replace(carrier_id=step["to"]) if o.oid in step["objects"] else o
+                       for o in objects]
+        version = replace(d, assignments=tuple(assignments), objects=tuple(objects))
+        contexts = {s: SessionContext("reference", s, positions.get(s),
+                                      now if s in positions else None, now)
+                    for s in logged_in}
+        if action == "query":
+            permitted, _ = oracle.brute_force_accessible(name, contexts[name], version,
+                                                         step["mode"], mode, contexts)
+            answers.append((step["at"], name, tuple(sorted(permitted))))
+        for s in sorted(logged_in, key=ids.get):
+            state, reason = _decide(s, contexts[s], version, mode, contexts)
+            prior = states.get(s, (None,))[0]
+            if state == DENIED and prior not in (None, DENIED):
+                state = REVOKED
+            was_valid = prior == GRANTED
+            transition = (GRANT if state == GRANTED and not was_valid else
+                          REVOKE if state != GRANTED and was_valid else
+                          DENY if state != GRANTED and prior is None else None)
+            if transition:
+                events.append(AccessEvent(now, s, transition, reason, (s,)))
+            if transition in (GRANT, REVOKE):
+                events += [AccessEvent(now, sup, VPD_CHANGED, reason, (sup, s))
+                           for sup in _supervisors(s, version)]
+            states[s] = (state, reason)
+    return events, states, answers
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 10_000))
+def test_a_random_scenario_replays_as_the_record_by_record_reference(seed, scenario_seed):
+    d = random_dataset(random.Random(seed), awkward_names=True)
+    doc = random_scenario(random.Random(scenario_seed), d)
+    sc = load_scenario(doc)
+    assert not [v for v in validate_scenario(sc, d) if v.kind != "time-regression"]
+    for mode in linkage.SUPERVISOR_MODES:
+        result = run_scenario(sc, d, supervisor_mode=mode)
+        events, final, answers = reference_replay(doc, d, mode)
+        assert lifecycle.render_event_log(result.events) == lifecycle.render_event_log(events)
+        assert {s: (g.state, g.reason) for s, g in result.final_states.items()} == final
+        assert [(parse_timestamp(at), s, oids) for at, s, oids in result.query_results] == \
+            [(parse_timestamp(at), s, oids) for at, s, oids in answers]
+
+
+def _bad_step(rng: random.Random, at: str) -> dict:
+    """One step the replay state cannot take, whatever came before it."""
+    return rng.choice([
+        {"at": at, "action": "login", "subject": "Ghost"},
+        {"at": at, "action": "move", "subject": "Ghost", "lat": 0.0, "lon": 0.0},
+        {"at": at, "action": "join", "subject": "Sub1", "carrier": "zeppelin9"},
+        {"at": at, "action": "leave", "subject": "Sub1", "carrier": "zeppelin9"},
+        {"at": at, "action": "handover", "objects": ["b999"], "from": "c1", "to": "c1"},
+        {"at": at, "action": "query", "subject": "Ghost", "text": "select * from object"},
+    ])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 10_000), st.lists(st.integers(0, 10**6),
+                                                                  max_size=3))
+def test_validate_matches_the_runner_on_random_scenarios_with_bad_steps(seed, scenario_seed,
+                                                                       inserts):
+    d = random_dataset(random.Random(seed))
+    steps = random_scenario(random.Random(scenario_seed), d)["steps"]
+    rng = random.Random(scenario_seed)
+    for k in inserts:
+        at = steps[k % len(steps)]["at"]
+        steps.insert(k % (len(steps) + 1), _bad_step(rng, at))
+    assert_validate_matches_runner(load_scenario({"name": "bad", "steps": steps}), d)

@@ -3,14 +3,16 @@
 A generated VPD, its query and a supervisor's closed form, must render
 to text that parses back to a query that renders to the same text and
 evaluates to the same rows under the request's own context. The
-property runs over randgen datasets, every chain mode, both supervisor
-modes, wired and wireless sessions (on and off route), and user
-literals that need quoting or that are numbers.
+property runs over randgen datasets, with subject names that are not
+identifiers or are keywords, every chain mode, both supervisor modes,
+wired and wireless sessions (on and off route), and user literals that
+need quoting or that are numbers.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +20,10 @@ from hypothesis import strategies as st
 from vpdgate import engine, linkage
 from vpdgate.queryir import evaluate, parse_query, render_query
 from vpdgate.sessionctx import open_session
+from vpdgate.timeutil import parse_timestamp
 
-from randgen import FAR_POINT_POOL, GOODS, random_contexts, random_dataset
+from conftest import MIAMI, VANCOUVER
+from randgen import FAR_POINT_POOL, GOODS, midpoint, random_contexts, random_dataset
 
 # Each {} is one user literal, inserted as text.
 TEMPLATES = (
@@ -56,7 +60,7 @@ _literal = st.one_of(_string.map(_quoted), _number)
 
 @st.composite
 def _request(draw):
-    d = random_dataset(random.Random(draw(st.integers(0, 10_000))))
+    d = random_dataset(random.Random(draw(st.integers(0, 10_000))), awkward_names=True)
     s = draw(st.sampled_from(d.subjects))
     contexts = random_contexts(random.Random(draw(st.integers(0, 100))), d)
     session = draw(st.sampled_from(("wired", "on-route", "off-route")))
@@ -88,3 +92,20 @@ def test_vpd_text_parses_back_to_a_query_with_the_same_text_and_rows(case):
         assert render_query(reparsed) == printed
         assert evaluate(reparsed, d, ctx).rows == evaluate(q, d, ctx).rows
 
+
+
+def test_a_range_gate_whose_subject_is_not_an_identifier_parses_back(fixture_dataset):
+    """Parker renamed Parker Lee, on route in the t1 window: the gate quotes the
+    name, and the text parses back to the same query and rows."""
+    d = replace(fixture_dataset, subjects=tuple(
+        s._replace(name="Parker Lee") if s.name == "Parker" else s
+        for s in fixture_dataset.subjects))
+    ctx = open_session("Parker Lee", midpoint(VANCOUVER, MIAMI),
+                       parse_timestamp("2010-08-20T12:00:00Z"), d)
+    outcome = engine.run_query(d, ctx, "select * from object")
+    assert outcome.state.valid and len(outcome.rows.rows) == 4
+    printed = render_query(outcome.vpd.query)
+    assert "IN range('Parker Lee', location)" in printed
+    reparsed = parse_query(printed)
+    assert reparsed == outcome.vpd.query
+    assert evaluate(reparsed, d, ctx).rows == outcome.rows.rows
