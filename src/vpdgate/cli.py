@@ -218,7 +218,7 @@ def cmd_vpd(args) -> int:
         print(json.dumps({
             "subject": vpd.subject,
             "definition": render_query(vpd.query),
-            "closed_form": render_query(vpd.closed_query) if vpd.closed_query else None,
+            "closed_form": render_query(vpd.closed_query) if vpd.expansion is not None else None,
             "location_dependent": vpd.location_dependent,
             "time_dependent": vpd.time_dependent,
             "provenance": list(vpd.provenance),
@@ -229,7 +229,7 @@ def cmd_vpd(args) -> int:
     else:
         print(f"subject: {vpd.subject}")
         print(f"definition: {render_query(vpd.query)}")
-        if vpd.closed_query is not None:
+        if vpd.expansion is not None:
             print(f"closed form: {render_query(vpd.closed_query)}")
         print(f"validity: {state.state} ({state.reason})")
         _print_rows(rows, args.format)

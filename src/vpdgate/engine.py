@@ -109,7 +109,7 @@ def explain(d: Dataset, ctx: SessionContext, query: str | Query, *,
     # The first branch without the user's conditions; a supervisor's own
     # branch has its identity pinned to its name.
     first = replace(vpd.branches[0], user=())
-    injected = first.select(vpd.subject if vpd.closed_query is not None else None).where
+    injected = first.select(vpd.subject if vpd.expansion is not None else None).where
 
     lines = [
         f"subject: {ctx.user}",
@@ -125,7 +125,7 @@ def explain(d: Dataset, ctx: SessionContext, query: str | Query, *,
     ]
     if outcome.witness is not None:
         lines.append(f"witness: {outcome.witness}")
-    if vpd.closed_query is not None:
+    if vpd.expansion is not None:
         lines.append("closed form:")
         lines.extend(f"  {line}" for line in _union_lines(vpd.closed_query))
     return "\n".join(lines)

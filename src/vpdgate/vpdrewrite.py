@@ -41,25 +41,23 @@ org_hierarchy, one nesting level per hierarchy level. The user's
 conditions are never rewritten, `sys_context:session_user` and range
 conditions included, so the VPD only ever shrinks the request.
 
-A supervisor's VPD is evaluated as the (Select, pin) pairs of its UNION
-(queryir.evaluate_groups): each base branch pinned at its identity to
-the supervisor, and the same branch without its range gates pinned at
-its identity to every kept subordinate. expand_supervisor builds none of
-what it derives from the subordinates: the groups, the provenance that
-lists them, the UNION and the closed form are each built when first read
-(materialize, CLI, explain), so a refused request, which reads none of
-them, costs only its decision. Narrative mode decides which subordinates
-are kept when it expands, as strict mode's verdict does before it;
-whether a subordinate's reported context fails the route check is
-linkage.route_verdict's decision (subordinate_known_invalid).
+A VPD (VpdDefinition) is a value: the subject, the rewrite's
+provenance, the base branches and, for a supervisor, its expansion
+(Expansion). Its UNION, groups, provenance and closed form are rebuilt
+from those fields on each read, so a refused request, which reads none
+of them, costs only its decision. A supervisor's VPD is evaluated as the
+(Select, pin) pairs of its UNION (queryir.evaluate_groups): each base
+branch pinned at its identity to the supervisor, and the same branch
+without its range gates pinned at its identity to every kept
+subordinate. Narrative mode decides which subordinates are kept when it
+expands; whether a subordinate's reported context fails the route check
+is linkage.route_verdict's decision (subordinate_known_invalid).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from typing import NamedTuple
 
 from . import linkage
 from .errors import UnknownColumnError, UnknownSubjectError, UnsupportedFeatureError
@@ -115,54 +113,69 @@ class Branch:
                       where=(self.gates if gated else ()) + (identity,) + self.chain + self.user)
 
 
-class VpdDefinition:
-    """A subject's VPD: its query, where its predicates came from, and
-    whether it depends on the reported location and time.
+class Expansion(NamedTuple):
+    """What a supervisor's VPD was expanded from: the mode, every
+    subordinate (linkage.subordinates_by_id), the kept and the dropped ones
+    in subject-id order, and the Dataset version the closed form reads."""
 
-    `query`, `provenance`, `closed_query` and `groups` are each either a
-    value or a function that builds it; a function is called on the first
-    read and its value kept. `branches` holds the rewrite's base branches
-    by role (Branch), in union order; every Select of the VPD is one of
-    them, pinned or without its gates, so they give its schema
-    (vpd_schema). A supervisor's VPD of more than one branch
-    (expand_supervisor) also has `groups`, the (Select, pin) pairs its
-    union evaluates as (queryir.evaluate_groups), so materializing it
-    never builds the union.
+    mode: str
+    subordinates: tuple[str, ...]
+    kept: tuple[str, ...]
+    dropped: tuple[str, ...]
+    dataset: Dataset
+
+
+class VpdDefinition(NamedTuple):
+    """A subject's VPD as the values it is built from: whether it depends
+    on the reported location and time, the rewrite's own provenance, the
+    base branches by role (Branch) in union order and, for a supervisor,
+    its `expansion` (None for a single subject). Every Select of the VPD
+    is a base branch, pinned or without its gates, so the branches give
+    its schema (vpd_schema); a VPD built by hand has no branches and a
+    `given_query`.
+
+    `query`, `provenance`, `groups` (a supervisor's (Select, pin) pairs,
+    queryir.evaluate_groups) and `closed_query` are rebuilt from the
+    fields on each read, so a caller reads each once.
     """
 
-    def __init__(self, subject: str, location_dependent: bool, time_dependent: bool,
-                 query: Query | Callable[[], Query],
-                 provenance: tuple[str, ...] | Callable[[], tuple[str, ...]],
-                 closed_query: Query | Callable[[], Query] | None = None,
-                 groups: Groups | Callable[[], Groups] | None = None,
-                 branches: tuple[Branch, ...] = ()):
-        self.subject = subject
-        self.location_dependent = location_dependent
-        self.time_dependent = time_dependent
-        self.branches = branches
-        self._query, self._closed_query = query, closed_query
-        self._provenance, self._groups = provenance, groups
+    subject: str
+    location_dependent: bool
+    time_dependent: bool
+    given_provenance: tuple[str, ...]
+    branches: tuple[Branch, ...] = ()
+    expansion: Expansion | None = None
+    given_query: Query | None = None
 
-    @cached_property
+    @property
     def query(self) -> Query:
-        return self._query() if callable(self._query) else self._query
+        e = self.expansion
+        if e is not None:
+            return _expanded_union(self.branches, self.subject, e.kept)
+        if not self.branches:
+            return self.given_query
+        return _union_of([b.select() for b in self.branches])
 
-    @cached_property
+    @property
     def provenance(self) -> tuple[str, ...]:
-        p = self._provenance
-        return p() if callable(p) else p
+        e = self.expansion
+        if e is None:
+            return self.given_provenance
+        out = self.given_provenance + (f"supervisor:{e.mode}",
+                                       f"subordinates:{','.join(e.subordinates)}")
+        return out + (f"dropped-invalid:{','.join(e.dropped)}",) if e.dropped else out
 
-    @cached_property
-    def closed_query(self) -> Query | None:
-        """The supervisor's closed form (expand_supervisor); None otherwise."""
-        q = self._closed_query
-        return q() if callable(q) else q
-
-    @cached_property
+    @property
     def groups(self) -> Groups | None:
-        """The supervisor's (Select, pin) pairs (expand_supervisor); None otherwise."""
-        g = self._groups
-        return g() if callable(g) else g
+        """The supervisor's (Select, pin) pairs; None otherwise."""
+        e = self.expansion
+        return None if e is None else _union_groups(self.branches, self.subject, e.kept)
+
+    @property
+    def closed_query(self) -> Query | None:
+        """The supervisor's closed form; None otherwise."""
+        e = self.expansion
+        return None if e is None else _closed_union(self.branches, self.subject, e.dataset)
 
 
 @dataclass(frozen=True)
@@ -299,26 +312,20 @@ def rewrite(q: Query, ctx: SessionContext, d: Dataset,
     if wireless:
         gates = (InRange("l", RangeRef(ctx.user, "location")),
                  InRange("t", RangeRef(ctx.user, "time")))
-    parts, provenance = [], ()
+    branches, provenance = (), ()
     for n, sel in enumerate(union_branches(q)):
         t = _template(sel, mode, d, wireless)
         user = tuple(_requalify_predicate(p, t.aliases, t.user_tables) for p in sel.where)
-        branches = t.branches
+        part = t.branches
         if gates or user:
-            branches = tuple(Branch(b.projection, b.tables, gates, b.identity, b.chain, user)
-                             for b in branches)
-        parts.append(branches)
+            part = tuple(Branch(b.projection, b.tables, gates, b.identity, b.chain, user)
+                         for b in part)
+        branches += part
         provenance += (t.head + ((f"user-conditions:{len(user)}",) if user else ())
                        + t.tail + (("union-request",) if n else ()))
     if ctx.user not in d.subject_by_name:
         raise UnknownSubjectError(ctx.user)
-    return VpdDefinition(
-        subject=ctx.user,
-        location_dependent=wireless,
-        time_dependent=wireless,
-        query=lambda: _union_of([_union_of([b.select() for b in part]) for part in parts]),
-        provenance=provenance,
-        branches=tuple(chain.from_iterable(parts)))
+    return VpdDefinition(ctx.user, wireless, wireless, provenance, branches)
 
 
 def _template(q: Select, mode: str, d: Dataset, wireless: bool) -> _Template:
@@ -389,15 +396,14 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
     reported context fails the route check are dropped, decided here, so
     the VPD keeps the verdicts of the contexts map it was built under.
     Strict mode reads no contexts map and keeps every subordinate. The
-    closed form replaces the identity by department membership over
-    org_hierarchy and is attached as closed_query; both forms evaluate
+    closed form (VpdDefinition.closed_query) replaces the identity by
+    department membership over org_hierarchy; both forms evaluate
     identically whenever no subordinate is known-invalid.
 
-    Nothing derived from the subordinates is built here: the groups
-    (_union_groups), the provenance listing them, the union and the
-    closed form are each built when first read. So expanding costs the
-    narrative verdicts alone, and a strict expansion O(1) once the
-    subordinates are known (linkage.subordinates_by_id).
+    The VPD holds the subordinates as its `expansion` and derives nothing
+    from them here. So expanding costs the narrative verdicts alone, and
+    a strict expansion, which keeps the subordinate tuple itself, O(1)
+    once the subordinates are known (linkage.subordinates_by_id).
     """
     if supervisor_mode not in linkage.SUPERVISOR_MODES:
         raise ValueError(f"unknown supervisor mode: {supervisor_mode!r}")
@@ -410,24 +416,12 @@ def expand_supervisor(s: str, base: VpdDefinition, d: Dataset, *,
         kept, dropped = [], []
         for sub in subs:
             (dropped if subordinate_known_invalid(sub, d, contexts) else kept).append(sub)
-
-    def provenance() -> tuple[str, ...]:
-        out = base.provenance + (f"supervisor:{supervisor_mode}",
-                                 f"subordinates:{','.join(subs)}")
-        return out + (f"dropped-invalid:{','.join(dropped)}",) if dropped else out
-
-    return VpdDefinition(
-        subject=s,
-        location_dependent=base.location_dependent,
-        time_dependent=base.time_dependent,
-        query=lambda: _expanded_union(base.branches, s, kept),
-        provenance=provenance,
-        closed_query=lambda: _closed_union(base.branches, s, d),
-        groups=lambda: _union_groups(base.branches, s, kept),
-        branches=base.branches)
+        kept, dropped = tuple(kept), tuple(dropped)
+    return VpdDefinition(s, base.location_dependent, base.time_dependent, base.provenance,
+                         base.branches, Expansion(supervisor_mode, subs, kept, dropped, d))
 
 
-def _expanded_union(branches: tuple[Branch, ...], s: str, kept: Sequence[str]) -> Query:
+def _expanded_union(branches: tuple[Branch, ...], s: str, kept: tuple[str, ...]) -> Query:
     """The supervisor's own branches (gates kept), then each kept
     subordinate's gate-free branches, pinned by name."""
     return _union_of([b.select(s) for b in branches]
@@ -451,7 +445,7 @@ def _closed_union(branches: tuple[Branch, ...], s: str, d: Dataset) -> Query:
     return _union_of(closed)
 
 
-def _union_groups(branches: tuple[Branch, ...], s: str, kept: Sequence[str]) -> Groups | None:
+def _union_groups(branches: tuple[Branch, ...], s: str, kept: tuple[str, ...]) -> Groups | None:
     """The (Select, pin) pairs that evaluate as the expanded union, without building it.
 
     Each base branch is one Select pinned at its identity to the
@@ -477,15 +471,16 @@ def _union_groups(branches: tuple[Branch, ...], s: str, kept: Sequence[str]) -> 
 
 def materialize(v: VpdDefinition, d: Dataset, ctx: SessionContext) -> RowSet:
     """Evaluate the VPD, by its groups when it has them; a supervisor's
-    groups are built here, on this first read.
+    groups are built here.
 
     A wireless VPD's range gates refuse what the lifecycle refuses; a
     strict supervisor revoked for a subordinate is refused only by the
     caller's validity gate. engine.run_query calls this for a granted
     request alone; a refused one is joined only when a constraint policy
     must check its rows (entails)."""
-    if v.groups is not None:
-        return evaluate_groups(v.groups, d, ctx)
+    groups = v.groups
+    if groups is not None:
+        return evaluate_groups(groups, d, ctx)
     return evaluate(v.query, d, ctx)
 
 

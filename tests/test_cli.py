@@ -1,14 +1,24 @@
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vpdgate import relstore
+from vpdgate import engine, linkage, relstore
 from vpdgate.cli import _locked_state, main
+from vpdgate.sessionctx import open_session
+from vpdgate.timeutil import format_timestamp
+
+from randgen import random_contexts, random_dataset
 
 DATA = str(relstore.bundled_data_dir("logistics"))
 
@@ -374,3 +384,42 @@ def test_file_that_is_not_json_is_one_error_line_naming_it(capsys, tmp_path, whe
     assert code == 1
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {bad.name}: invalid JSON: Expecting property name")
+
+
+def _main_quiet(*argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@given(st.integers(0, 10_000), st.integers(0, 1000), st.sampled_from(linkage.CHAIN_MODES),
+       st.sampled_from(linkage.SUPERVISOR_MODES))
+@settings(max_examples=25, deadline=None)
+def test_awkward_names_pass_through_login_and_the_state_file(seed, contexts_seed, chain_mode,
+                                                             supervisor_mode):
+    """Names with a space, a quote, a leading digit, a keyword or other
+    scripts: each subject's reported context is logged in, and a query by
+    --subject gets the verdict and rows engine.run_query gives it."""
+    d = random_dataset(random.Random(seed), awkward_names=True)
+    contexts = random_contexts(random.Random(contexts_seed), d)
+    text = "select * from object"
+    with tempfile.TemporaryDirectory() as tmp:
+        data = str(Path(tmp) / "data.json")
+        Path(data).write_text(relstore.dump_dataset(d))
+        for name, ctx in contexts.items():
+            position = [] if not ctx.wireless else [
+                "--lat", repr(ctx.location[0]), "--lon", repr(ctx.location[1]),
+                "--time", format_timestamp(ctx.timestamp)]
+            assert _main_quiet("login", "--data", data, "--user", name, *position)[0] == 0
+        for s in d.subjects:
+            code, out = _main_quiet("query", "--data", data, "--subject", s.name,
+                                    "--mode", chain_mode, "--supervisor-mode", supervisor_mode,
+                                    "--format", "json", text)
+            ctx = contexts.get(s.name) or open_session(s.name, None, None, d)
+            expected = engine.run_query(d, ctx, text, chain_mode=chain_mode,
+                                        supervisor_mode=supervisor_mode, contexts=contexts)
+            doc = json.loads(out)
+            assert (code, doc["verdict"], doc["reason"]) == (
+                0 if expected.state.valid else 2, expected.state.state, expected.state.reason)
+            assert doc["rows"] == [list(r) for r in expected.rows.sorted_rows()]

@@ -1,7 +1,9 @@
 import json
 import random
+import tempfile
 from dataclasses import replace
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -404,6 +406,9 @@ def test_a_random_scenario_replays_as_the_record_by_record_reference(seed, scena
         result = run_scenario(sc, d, supervisor_mode=mode)
         events, final, answers = reference_replay(doc, d, mode)
         assert lifecycle.render_event_log(result.events) == lifecycle.render_event_log(events)
+        with tempfile.TemporaryDirectory() as tmp:  # the names read back from the log
+            lifecycle.write_event_log(result.events, Path(tmp) / "events.jsonl")
+            assert lifecycle.read_event_log(Path(tmp) / "events.jsonl") == result.events
         assert {s: (g.state, g.reason) for s, g in result.final_states.items()} == final
         assert [(parse_timestamp(at), s, oids) for at, s, oids in result.query_results] == \
             [(parse_timestamp(at), s, oids) for at, s, oids in answers]

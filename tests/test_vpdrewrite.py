@@ -145,7 +145,7 @@ def test_entails_flags_leak_with_witness(fixture_dataset):
     adam = open_session("Adam", None, None, fixture_dataset)
     leak = parse_query("select object.* from object where object.oid = 'o005'")
     v = VpdDefinition(subject="Adam", location_dependent=False, time_dependent=False,
-                      query=leak, provenance=("hand-built",))
+                      given_query=leak, given_provenance=("hand-built",))
     ok, witness = entails((HEAD_OF_OU_POLICY,), v, fixture_dataset, adam)
     assert not ok
     assert "o005" in witness
