@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from datetime import datetime
+from operator import attrgetter
 
 from . import geo
 from .errors import NoChainError, UnknownSubjectError
@@ -182,22 +183,25 @@ def _chain(target: str, foreign_keys: tuple[tuple[str, str], ...]) -> JoinChain:
     raise NoChainError(f"no declared chain links {SUBJECT_TABLE!r} to {target!r}")
 
 
-def _levels(start: str, edges: dict[str, tuple[str, ...]]) -> list[set[str]]:
-    """Units reachable from start over edges (org_children or org_parents),
-    grouped by minimum edge count, level 1 first; start is in none."""
+def _levels(start: str, d: Dataset, near: str, far: str) -> list[set[str]]:
+    """Units reachable from start over org_hierarchy edges, each followed
+    from its `near` column to its `far` one (ou to sub_ou is down), grouped
+    by minimum edge count, level 1 first; start is in none."""
+    edges, step = d.index("org_hierarchy", near), attrgetter(far)
     levels: list[set[str]] = []
     seen = {start}
-    current = {n for n in edges.get(start, ()) if n != start}
+    current = {n for n in map(step, edges.get(start, ())) if n != start}
     while current:
         levels.append(current)
         seen.update(current)
-        current = {n for node in current for n in edges.get(node, ()) if n not in seen}
+        current = {n for node in current for n in map(step, edges.get(node, ()))
+                   if n not in seen}
     return levels
 
 
 def sub_ou_levels(ou: str, d: Dataset) -> list[set[str]]:
     """Sub-units below ou grouped by minimum edge distance (level 1 first)."""
-    return _levels(ou, d.org_children)
+    return _levels(ou, d, "ou", "sub_ou")
 
 
 def organization(s1: str, s2: str, d: Dataset) -> bool:
@@ -224,8 +228,8 @@ def _subordinates(s: str, d: Dataset) -> tuple[frozenset[str], tuple[str, ...]]:
     memo = d.subordinate_closures
     entry = memo.get(s)
     if entry is None:
-        by_dept = d.subjects_by_dept
-        names = frozenset(other.name for level in _levels(_subject(s, d).dept, d.org_children)
+        by_dept = d.index(SUBJECT_TABLE, "dept")
+        names = frozenset(other.name for level in _levels(_subject(s, d).dept, d, "ou", "sub_ou")
                           for ou in level for other in by_dept.get(ou, ()))
         entry = (names, tuple(sorted(names, key=lambda name: d.subject_by_name[name].id)))
         memo[s] = entry  # racing threads store equal entries
@@ -236,8 +240,8 @@ def supervisors(s: str, d: Dataset) -> list[str]:
     """Subjects s is subordinate to, nearest first, ties by name: the
     levels above s's dept, where a unit's level is its minimum edge
     distance down to s's dept."""
-    by_dept = d.subjects_by_dept
-    return [name for level in _levels(_subject(s, d).dept, d.org_parents)
+    by_dept = d.index(SUBJECT_TABLE, "dept")
+    return [name for level in _levels(_subject(s, d).dept, d, "sub_ou", "ou")
             for name in sorted(other.name for ou in level for other in by_dept.get(ou, ()))]
 
 

@@ -13,14 +13,16 @@ Only carrier rows are a view, built once per version, because a
 CarrierRecord holds places, waypoints and datetimes.
 
 Each version builds its lookup structures lazily and keeps them: the
-per-(table, column) hash indexes the query evaluator probes (Dataset.index,
-built on the first probe of that column, never at load), assignments by
-subject, the org children, parents and subjects-by-dept maps that
-linkage walks, the memo of each supervisor's subordinates
+per-(table, column) hash indexes (Dataset.index), which the query
+evaluator probes and linkage reads (a subject's assignments, the org
+hierarchy walked down by ou and up by sub_ou, a unit's subjects by dept),
+the three unique-key maps, the memo of each supervisor's subordinates
 (Dataset.subordinate_closures), and the two memos of linkage.route_verdict:
 each subject's route ranges (Dataset.route_ranges) and the bounded memo of
 corridor tests, keyed by carrier and location but not by time
-(Dataset.corridor_tests). A mutation helper's new version starts with
+(Dataset.corridor_tests). Only org_hierarchy.ou's index is built at load,
+by the cycle check; index buckets are shared, so no reader mutates one.
+A mutation helper's new version starts with
 what the old one built and the mutation cannot change: the structures of
 the other tables, the route ranges of every subject but the one whose
 assignment changed, and the corridor tests, since no mutation moves a
@@ -45,12 +47,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import IntegrityError, ParseError, UnknownColumnError, UnknownTableError
 from .geo import Point
@@ -88,6 +91,12 @@ class SchemaManifest:
     foreign_keys: tuple[tuple[str, str], ...] = DEFAULT_FOREIGN_KEYS
     corridor_km: float = DEFAULT_CORRIDOR_KM
     waypoints: tuple[tuple[str, tuple[Point, ...]], ...] = ()
+
+    def __post_init__(self):
+        # Every way to a manifest (from_dict, replace, construction) passes here.
+        if not 0 <= self.corridor_km < math.inf:  # False for NaN
+            raise ParseError(f"must be a finite number >= 0, not {self.corridor_km!r}",
+                             field="corridor_km")
 
     def waypoints_for(self, carrier_id: str) -> tuple[Point, ...] | None:
         for cid, points in self.waypoints:
@@ -220,26 +229,10 @@ class Dataset:
     def object_by_id(self) -> dict[str, ObjectRecord]:
         return {o.oid: o for o in self.objects}
 
-    @cached_property
-    def _assignments_by_subject(self) -> dict[str, tuple[AssignmentRecord, ...]]:
-        return _grouped((a.subject_id, a) for a in self.assignments)
-
-    def assignments_of(self, subject_id: str) -> tuple[AssignmentRecord, ...]:
-        return self._assignments_by_subject.get(subject_id, ())
-
-    @cached_property
-    def org_children(self) -> dict[str, tuple[str, ...]]:
-        """ou -> its direct sub-units, in edge order."""
-        return _grouped((e.ou, e.sub_ou) for e in self.org_edges)
-
-    @cached_property
-    def org_parents(self) -> dict[str, tuple[str, ...]]:
-        """sub_ou -> the units directly above it, in edge order."""
-        return _grouped((e.sub_ou, e.ou) for e in self.org_edges)
-
-    @cached_property
-    def subjects_by_dept(self) -> dict[str, tuple[SubjectRecord, ...]]:
-        return _grouped((s.dept, s) for s in self.subjects)
+    def assignments_of(self, subject_id: str) -> Sequence[AssignmentRecord]:
+        """The subject's assignments in table order: its bucket of the
+        assignment table's index on id, not to be mutated."""
+        return self.index("assignment", "id").get(subject_id, ())
 
     @cached_property
     def _tables(self) -> dict[str, tuple[tuple, ...]]:
@@ -271,8 +264,11 @@ class Dataset:
         """Rows of a table keyed by their value in one column.
 
         Each bucket holds its rows in table order; None is not a key, so
-        an absent value finds no rows. The index is built on the first
-        probe of (table, column) and kept with this version.
+        an absent value finds no rows. The query evaluator probes the
+        indexes and linkage reads them. An index is built on the first
+        read of (table, column), org_hierarchy.ou's at load by the cycle
+        check, and kept with this version. Buckets are shared by every
+        reader and every version that carries them, so none is mutated.
         """
         key = (table, column)
         index = self._indexes.get(key)
@@ -367,17 +363,7 @@ _RECORDS = {"assignment": "assignments", "object": "objects"}
 
 # Each lazily built lookup of a Dataset, by the table it is built from.
 _LOOKUP_SOURCES = {"subject_by_name": "subject", "carrier_by_id": "carrier",
-                   "object_by_id": "object", "_assignments_by_subject": "assignment",
-                   "org_children": "org_hierarchy", "org_parents": "org_hierarchy",
-                   "subjects_by_dept": "subject"}
-
-
-def _grouped(pairs) -> dict:
-    """key -> tuple of its values, both in first-seen order."""
-    out: dict = {}
-    for key, value in pairs:
-        out.setdefault(key, []).append(value)
-    return {key: tuple(values) for key, values in out.items()}
+                   "object_by_id": "object"}
 
 
 def _absent(row: dict, key: str) -> str | None:
@@ -655,7 +641,7 @@ def validate_dataset(d: Dataset) -> ValidationReport:
             out.append(Violation("object", o.oid, "dangling-reference",
                                  f"object {o.oid!r} references unknown carrier {o.carrier_id!r}"))
 
-    cycle = _find_org_cycle(d.org_children)
+    cycle = _find_org_cycle(d.index("org_hierarchy", "ou"))
     if cycle:
         out.append(Violation("org_hierarchy", cycle[0], "cycle",
                              "organizational units form a cycle: " + " -> ".join(cycle)))
@@ -663,23 +649,25 @@ def validate_dataset(d: Dataset) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def _find_org_cycle(children: dict[str, tuple[str, ...]]) -> list[str] | None:
-    """The first cycle of a depth-first walk in edge order, closed by its
-    first unit; None when acyclic. The walk keeps its own stack, so no
-    hierarchy depth reaches the recursion limit."""
+def _find_org_cycle(edges: dict[str, list[OrgEdge]]) -> list[str] | None:
+    """The first cycle of a depth-first walk in edge order over edges (the
+    org_hierarchy index on ou), closed by its first unit; None when acyclic.
+    The walk keeps its own stack, so no hierarchy depth reaches the
+    recursion limit."""
     done: set[str] = set()
-    for root in children:
+    for root in edges:
         if root in done:
             continue
-        path, on_path, stack = [root], {root: 0}, [iter(children[root])]
+        path, on_path, stack = [root], {root: 0}, [iter(edges[root])]
         while stack:
-            for child in stack[-1]:
+            for edge in stack[-1]:
+                child = edge.sub_ou
                 if child in on_path:
                     return path[on_path[child]:] + [child]
                 if child not in done:
                     on_path[child] = len(path)
                     path.append(child)
-                    stack.append(iter(children.get(child, ())))
+                    stack.append(iter(edges.get(child, ())))
                     break
             else:
                 stack.pop()

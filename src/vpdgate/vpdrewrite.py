@@ -131,8 +131,7 @@ class VpdDefinition(NamedTuple):
     base branches by role (Branch) in union order and, for a supervisor,
     its `expansion` (None for a single subject). Every Select of the VPD
     is a base branch, pinned or without its gates, so the branches give
-    its schema (vpd_schema); a VPD built by hand has no branches and a
-    `given_query`.
+    its schema (vpd_schema).
 
     `query`, `provenance`, `groups` (a supervisor's (Select, pin) pairs,
     queryir.evaluate_groups) and `closed_query` are rebuilt from the
@@ -145,15 +144,12 @@ class VpdDefinition(NamedTuple):
     given_provenance: tuple[str, ...]
     branches: tuple[Branch, ...] = ()
     expansion: Expansion | None = None
-    given_query: Query | None = None
 
     @property
     def query(self) -> Query:
         e = self.expansion
         if e is not None:
             return _expanded_union(self.branches, self.subject, e.kept)
-        if not self.branches:
-            return self.given_query
         return _union_of([b.select() for b in self.branches])
 
     @property
@@ -487,9 +483,8 @@ def materialize(v: VpdDefinition, d: Dataset, ctx: SessionContext) -> RowSet:
 def vpd_schema(v: VpdDefinition) -> tuple[str, ...]:
     """The schema materialize(v) returns, derived without joining from the
     base branches' FROM tables and projections, which every Select of v
-    shares; a VPD without branches (built by hand) takes its query's
-    Selects. It builds no Select and reads no group."""
-    return union_schema(v.branches or union_branches(v.query))
+    shares. It builds no Select and reads no group."""
+    return union_schema(v.branches)
 
 
 def _check_head_of_ou(v: VpdDefinition, rows: RowSet, d: Dataset,

@@ -187,5 +187,7 @@ def test_a_replay_opens_no_session_and_carries_corridor_tests_and_indexes(handov
     built = {n: {table for step, table in builds if step == n} for n in range(len(step_of) + 1)}
     queries = [n for n, action in enumerate(step_of, start=1) if action == "query"]
     assert "object" in built[queries[0]]
-    after = {step_of[n - 2]: built[n] for n in queries[1:]}
+    # A join or leave re-decides its subject, which reads the assignment
+    # index before the query does: count from the mutation through the query.
+    after = {step_of[n - 2]: built[n - 1] | built[n] for n in queries[1:]}
     assert after == {"join": {"assignment"}, "leave": {"assignment"}, "handover": {"object"}}

@@ -166,6 +166,12 @@ SCHEMA_CASES = {
                       "error: foreign_keys (row 0): missing key 'to'"),
     "corridor-not-a-number": ({"corridor_km": "wide"},
                               "error: corridor_km: could not convert string to float: 'wide'"),
+    "corridor-nan": ({"corridor_km": "nan"},
+                     "error: corridor_km: must be a finite number >= 0, not nan"),
+    "corridor-infinite": ({"corridor_km": float("inf")},
+                          "error: corridor_km: must be a finite number >= 0, not inf"),
+    "corridor-negative": ({"corridor_km": -1},
+                          "error: corridor_km: must be a finite number >= 0, not -1.0"),
 }
 
 
@@ -245,6 +251,20 @@ def test_corridor_override_changes_verdict(capsys, state_file):
                        "--session", session_id, "select * from object")
     assert code == 0
     assert json.loads(out)["verdict"] == "GRANTED"
+
+
+@pytest.mark.parametrize("width", ["nan", "inf", "-1"])
+def test_a_corridor_override_that_is_no_width_is_one_error_line(capsys, state_file, width):
+    # Parker is in range here, so a width that is no number must not revoke him.
+    _, out, _ = run(capsys, "login", "--data", DATA, "--state", state_file,
+                    "--user", "Parker", "--lat", "39.4731", "--lon", "-98.0592",
+                    "--time", "2010-08-20T12:00:00Z")
+    code, out, err = run(capsys, "query", "--data", DATA, "--state", state_file,
+                         "--corridor-km", width, "--session", out.strip(),
+                         "select * from object")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: corridor_km: must be a finite number >= 0, not {float(width)!r}"]
 
 
 def test_manifest_override(capsys, tmp_path, state_file):

@@ -227,15 +227,6 @@ def test_root_run_query_builds_no_select_per_subordinate(monkeypatch):
     assert closed == ["  UNION", *(f"    {render_query(b)}" for b in union_branches(closed_form))]
 
 
-def test_plain_vpd_definition_still_constructs(fixture_dataset):
-    q = parse_query("select object.* from object where object.oid = 'o005'")
-    v = VpdDefinition(subject="Adam", location_dependent=False, time_dependent=False,
-                      given_query=q, given_provenance=("hand-built",))
-    assert v.query is q and v.closed_query is None and v.groups is None
-    adam = open_session("Adam", None, None, fixture_dataset)
-    assert materialize(v, fixture_dataset, adam).rows == evaluate(q, fixture_dataset, adam).rows
-
-
 # ---------------------------------------------------------------------------
 # Subordinate verdict memo
 # ---------------------------------------------------------------------------
@@ -356,7 +347,7 @@ def test_head_of_ou_check_matches_per_subject_scan(seed, order_seed):
     check = vpdrewrite.CONSTRAINT_CHECKS["head-of-ou-containment"]
     for s in d.subjects:
         v = VpdDefinition(subject=s.name, location_dependent=False, time_dependent=False,
-                          given_query=parse_query(Q), given_provenance=("hand-built",))
+                          given_provenance=("hand-built",))
         for candidate in (everything, shuffled):
             assert check(v, candidate, d, None) == \
                 _head_of_ou_per_subject(v, candidate, d, None)

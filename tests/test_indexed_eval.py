@@ -155,8 +155,8 @@ def test_assignments_of_equals_linear_scan(seed):
     for a in d.assignments[:2]:
         d = d.with_assignment(a.subject_id, a.carrier_id)
     for s in d.subjects + (d.subjects[0]._replace(id="nobody"),):
-        assert d.assignments_of(s.id) == \
-            tuple(a for a in d.assignments if a.subject_id == s.id)
+        assert list(d.assignments_of(s.id)) == \
+            [a for a in d.assignments if a.subject_id == s.id]
 
 
 def test_index_buckets_keep_table_order_and_skip_none(fixture_dataset):

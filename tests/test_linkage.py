@@ -223,7 +223,8 @@ def test_subordinate_closure_is_walked_once_per_dataset_version(fixture_dataset,
                                                                 monkeypatch):
     walks = []
     real = linkage._levels
-    monkeypatch.setattr(linkage, "_levels", lambda ou, edges: walks.append(ou) or real(ou, edges))
+    monkeypatch.setattr(linkage, "_levels",
+                        lambda ou, *args: walks.append(ou) or real(ou, *args))
     d = replace(fixture_dataset)  # a version of its own, with an empty memo
     for _ in range(3):
         linkage.subordinates("Charles", d)

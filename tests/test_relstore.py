@@ -2,6 +2,7 @@ import json
 import random
 import shutil
 import sys
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -282,6 +283,17 @@ def test_json_dataset_must_be_an_object(tmp_path):
 def test_malformed_manifest_names_the_field(schema, message):
     with pytest.raises(ParseError, match=message):
         relstore.SchemaManifest.from_dict(schema)
+
+
+@pytest.mark.parametrize("width", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-9])
+def test_a_corridor_width_that_is_not_a_finite_number_at_least_0_is_refused(width):
+    message = rf"^corridor_km: must be a finite number >= 0, not {width!r}$"
+    with pytest.raises(ParseError, match=message):
+        relstore.SchemaManifest(corridor_km=width)
+    with pytest.raises(ParseError, match=message):
+        replace(relstore.SchemaManifest(), corridor_km=width)
+    assert relstore.SchemaManifest(corridor_km=0.0).corridor_km == 0.0
+    assert relstore.SchemaManifest.from_dict({"corridor_km": 0}).corridor_km == 0.0
 
 
 def _goods(n: int, **changes) -> dict:

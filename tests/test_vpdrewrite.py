@@ -5,6 +5,7 @@ from vpdgate.queryir import InRange, InSubquery, Select, Union, evaluate, parse_
 from vpdgate.sessionctx import open_session
 from vpdgate.vpdrewrite import (
     HEAD_OF_OU_POLICY,
+    Branch,
     Privilege,
     VpdDefinition,
     entails,
@@ -141,11 +142,17 @@ def test_entails_head_of_ou_for_chris(fixture_dataset, chris_wired):
 
 
 def test_entails_flags_leak_with_witness(fixture_dataset):
-    # Hand-built VPD leaking an object Adam cannot reach by any linkage.
+    # A branch with no chain predicates leaks an object Adam cannot reach by
+    # any linkage.
     adam = open_session("Adam", None, None, fixture_dataset)
-    leak = parse_query("select object.* from object where object.oid = 'o005'")
+    leak = parse_query("SELECT object.* FROM subject, object WHERE subject.name = "
+                       "sys_context:session_user AND object.oid = 'o005'")
+    identity, *user = leak.where
+    branch = Branch(projection=leak.projection, tables=leak.tables, gates=(),
+                    identity=identity, chain=(), user=tuple(user))
     v = VpdDefinition(subject="Adam", location_dependent=False, time_dependent=False,
-                      given_query=leak, given_provenance=("hand-built",))
+                      given_provenance=("hand-built",), branches=(branch,))
+    assert v.query == leak
     ok, witness = entails((HEAD_OF_OU_POLICY,), v, fixture_dataset, adam)
     assert not ok
     assert "o005" in witness
