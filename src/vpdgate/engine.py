@@ -39,9 +39,10 @@ def run_query(d: Dataset, ctx: SessionContext, query: str | Query | None = None,
 
     A refused request gets an empty RowSet with its VPD's schema
     (vpd_schema), and its VPD is joined only inside entails, when a
-    constraint policy is set. So a WHERE clause that fails only when
-    evaluated raises for a granted request and not for a refused one; a
-    UNION whose branches differ in arity raises either way.
+    constraint policy is set. So a rewrite error (vpdrewrite) or a UNION
+    whose branches differ in arity raises either way; what fails only
+    when evaluated (an IN subquery's contents, an unbound context key)
+    raises for a granted request alone.
     """
     return _decide(d, ctx, query, chain_mode, supervisor_mode, contexts, policies, join=True)
 
@@ -98,8 +99,8 @@ def explain(d: Dataset, ctx: SessionContext, query: str | Query, *,
     It takes run_query's steps (_decide) but prints no rows, so it joins
     the VPD only when a constraint policy must check its rows (entails),
     once; without one, explain does no join. So, as for a refused
-    request in run_query, a WHERE clause that fails only when evaluated
-    does not raise here, and a UNION whose branches differ in arity does.
+    request in run_query, a rewrite error or a UNION of mixed arity
+    raises here, and what fails only when evaluated does not.
     """
     if isinstance(query, str):
         query = parse_query(query)

@@ -245,34 +245,28 @@ def supervisors(s: str, d: Dataset) -> list[str]:
             for name in sorted(other.name for ou in level for other in by_dept.get(ou, ()))]
 
 
-def link(target: str, mode: str, d: Dataset) -> list[tuple[Predicate, ...]]:
-    """Join-predicate conjunctions binding the session's subject to target rows.
+def link(target: str, mode: str, d: Dataset
+         ) -> tuple[tuple[str, ...], list[tuple[Predicate, ...]]]:
+    """The FROM tables, in chain order, and the join-predicate conjunctions
+    binding the session's subject to target rows; vpdrewrite._template
+    checks their columns.
 
     Every conjunction starts with the session-identity predicate, so a
     session can never act for another subject by query text, and names
-    no subject itself: one result serves every subject of a session. The
-    result is a list of branches: workflow and specialty produce one,
-    direct produces two (sender match, receiver match) that the rewriter
-    joins with UNION.
+    no subject itself: one result serves every subject of a session.
+    Workflow and specialty produce one conjunction, direct two (sender
+    match, receiver match) that the rewriter joins with UNION.
     """
     session = ColEqContext(ColumnRef(SUBJECT_TABLE, "name"), "session_user")
     if mode == "workflow":
         chain = workflow(target, d)
-        return [(session, *chain.predicates)]
+        return chain.tables, [(session, *chain.predicates)]
+    tables = (SUBJECT_TABLE, target) if target != SUBJECT_TABLE else (SUBJECT_TABLE,)
     if mode == "specialty":
         pred = ColEqCol(ColumnRef(SUBJECT_TABLE, "specialty"), ColumnRef(target, "name"))
-        return [(session, pred)]
+        return tables, [(session, pred)]
     if mode == "direct":
         sender = ColEqCol(ColumnRef(SUBJECT_TABLE, "id"), ColumnRef(target, "sender"))
         receiver = ColEqCol(ColumnRef(SUBJECT_TABLE, "id"), ColumnRef(target, "receiver"))
-        return [(session, sender), (session, receiver)]
-    raise ValueError(f"unknown chain mode: {mode!r}")
-
-
-def link_tables(target: str, mode: str, d: Dataset) -> tuple[str, ...]:
-    """FROM tables a link-mode rewrite needs, in canonical chain order."""
-    if mode == "workflow":
-        return workflow(target, d).tables
-    if mode in ("specialty", "direct"):
-        return (SUBJECT_TABLE, target) if target != SUBJECT_TABLE else (SUBJECT_TABLE,)
+        return tables, [(session, sender), (session, receiver)]
     raise ValueError(f"unknown chain mode: {mode!r}")

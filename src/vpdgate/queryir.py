@@ -531,7 +531,10 @@ class RowSet:
 # ---------------------------------------------------------------------------
 
 class _Scope:
-    """Column resolution and joined-environment offsets (see _join) of a FROM list."""
+    """Column resolution and joined-environment offsets (see _join) of a FROM
+    list. resolve is the one rule that names a column: the evaluator reads
+    it, and vpdrewrite qualifies the request's and the chain's columns with
+    it (qualify)."""
 
     def __init__(self, tables: tuple[TableRef, ...]):
         self.bindings: list[str] = []
@@ -563,6 +566,10 @@ class _Scope:
         if len(hits) > 1:
             raise UnknownColumnError(f"column {ref.column!r} is ambiguous")
         return hits[0]
+
+    def qualify(self, ref: ColumnRef) -> ColumnRef:
+        """ref resolved as resolve does, named by its table, not its binding."""
+        return ColumnRef(self.tables[self.resolve(ref)[0]], ref.column)
 
 
 def _context_value(ctx, key: str):

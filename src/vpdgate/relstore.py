@@ -332,12 +332,10 @@ class Dataset:
         the other tables: their lookups, indexes and row views. A changed
         assignment of subject_id drops only that subject's route ranges. No
         mutation changes a route or the manifest, so the corridor tests
-        stay true; they are kept while within linkage.VERDICT_MEMO_SIZE.
+        stay true and are kept; linkage.route_verdict bounds that memo.
         A dict that later reads add to is copied, so this version never
         changes; subordinate_closures starts empty.
         """
-        from .linkage import VERDICT_MEMO_SIZE  # linkage imports this module
-
         new = replace(self, **{_RECORDS[table]: rows})
         built, carried = self.__dict__, new.__dict__
         for name, source in _LOOKUP_SOURCES.items():
@@ -353,7 +351,7 @@ class Dataset:
             carried["route_ranges"] = {
                 name: ranges for name, ranges in dict(built["route_ranges"]).items()
                 if subject_id is None or self.subject_by_name[name].id != subject_id}
-        if "corridor_tests" in built and len(built["corridor_tests"]) <= VERDICT_MEMO_SIZE:
+        if "corridor_tests" in built:
             carried["corridor_tests"] = dict(built["corridor_tests"])
         return new
 

@@ -20,15 +20,22 @@ same schema as the request and the VPD can only ever shrink it.
 
 Only the range gates name the subject, and only the user's conditions
 hold the request's literals. Everything else a rewrite derives from a
-Select (aliases, projection, FROM tables, identity, chain and most of
-the provenance) is one template per Select shape: its FROM list and
+Select (column scope, projection, FROM tables, identity, chain and most
+of the provenance) is one template per Select shape: its FROM list and
 projection, the chain mode, the manifest's foreign keys and whether the
 session is wireless. Templates are kept in a bounded memo
 (TEMPLATE_MEMO_SIZE), so it grows with the number of shapes, not of
 subjects or literals; no key holds a literal, a subject, a session, a
-context value or a Dataset. Per request, rewrite requalifies the user's
+context value or a Dataset. Per request, rewrite qualifies the user's
 conditions, checks that the subject exists and, for a wireless
 session, adds the two gates naming it.
+
+Every column the rewrite names is resolved by queryir's one rule
+(_Scope.qualify): the request's in its own FROM scope, linkage's in the
+branch's. So a bad table or column, a chain column the target lacks
+and a self-join raise at rewrite, whatever the verdict; only an IN
+subquery's contents and an unbound context key raise when evaluated,
+for a granted request alone.
 
 Each rewritten branch keeps its predicates by role (Branch): the range
 gates, the session identity, the chain predicates and the user's own
@@ -76,12 +83,13 @@ from .queryir import (
     STAR,
     TableRef,
     Union,
+    _Scope,
     evaluate,
     evaluate_groups,
     union_branches,
     union_schema,
 )
-from .relstore import TABLE_COLUMNS, Dataset
+from .relstore import Dataset
 from .sessionctx import SessionContext
 
 ContextMap = dict  # subject name -> SessionContext
@@ -217,66 +225,41 @@ class DomainPolicy:
 # Rewriting
 # ---------------------------------------------------------------------------
 
-def _alias_map(q: Select) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for t in q.tables:
-        if t.table in out.values():
-            raise UnsupportedFeatureError("self-joins cannot be rewritten")
-        out[t.binding] = t.table
-    return out
-
-
-def _requalify_ref(ref: ColumnRef, aliases: dict[str, str], tables: list[str]) -> ColumnRef:
-    """Rebind a user column reference to plain table names."""
-    if ref.qualifier is not None:
-        if ref.qualifier not in aliases:
-            raise UnknownColumnError(
-                f"column {ref} references {ref.qualifier!r}, which is not in FROM")
-        return ColumnRef(aliases[ref.qualifier], ref.column)
-    hits = [t for t in tables if ref.column in TABLE_COLUMNS.get(t, ())]
-    if not hits:
-        raise UnknownColumnError(f"no column {ref.column!r} in FROM tables")
-    if len(hits) > 1:
-        raise UnknownColumnError(f"column {ref.column!r} is ambiguous")
-    return ColumnRef(hits[0], ref.column)
-
-
-def _requalify_predicate(p: Predicate, aliases: dict[str, str], tables: list[str]) -> Predicate:
+def _qualified(p: Predicate, scope: _Scope) -> Predicate:
+    """p with each column resolved in scope and named by its table
+    (_Scope.qualify); an IN subquery keeps its own scope."""
     if isinstance(p, ColEqCol):
-        return ColEqCol(_requalify_ref(p.a, aliases, tables),
-                        _requalify_ref(p.b, aliases, tables))
+        return ColEqCol(scope.qualify(p.a), scope.qualify(p.b))
     if isinstance(p, ColEqConst):
-        return ColEqConst(_requalify_ref(p.a, aliases, tables), p.value)
+        return ColEqConst(scope.qualify(p.a), p.value)
     if isinstance(p, ColEqContext):
-        return ColEqContext(_requalify_ref(p.a, aliases, tables), p.key)
+        return ColEqContext(scope.qualify(p.a), p.key)
     if isinstance(p, InSubquery):
-        return InSubquery(_requalify_ref(p.a, aliases, tables), p.query)
+        return InSubquery(scope.qualify(p.a), p.query)
     return p
 
 
-def _scoped_projection(q: Select, aliases: dict[str, str]) -> tuple[ColumnRef, ...]:
+def _scoped_projection(q: Select, scope: _Scope) -> tuple[ColumnRef, ...]:
     """Pin the user's projection to its original table scope."""
-    user_tables = [aliases[t.binding] for t in q.tables]
     out: list[ColumnRef] = []
     for item in q.projection:
         if item == STAR:
-            out.extend(ColumnRef(t, "*") for t in user_tables)
+            out.extend(ColumnRef(t, "*") for t in scope.tables.values())
         elif item.column == "*":
-            out.append(ColumnRef(aliases.get(item.qualifier, item.qualifier), "*"))
+            out.append(ColumnRef(scope.tables.get(item.qualifier, item.qualifier), "*"))
         else:
-            out.append(_requalify_ref(item, aliases, user_tables))
+            out.append(scope.qualify(item))
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class _Template:
-    """What rewriting one Select derives from its shape alone: the alias
-    map and FROM tables its conditions are requalified against, its
-    branches without range gates or user conditions, and the provenance
-    before and after its `user-conditions` entry."""
+    """What rewriting one Select derives from its shape alone: the scope
+    of its FROM list, which its conditions are qualified in, its branches
+    without range gates or user conditions, and the provenance before and
+    after its `user-conditions` entry."""
 
-    aliases: dict[str, str]
-    user_tables: list[str]
+    scope: _Scope
     branches: tuple[Branch, ...]
     head: tuple[str, ...]
     tail: tuple[str, ...]
@@ -298,7 +281,7 @@ def rewrite(q: Query, ctx: SessionContext, d: Dataset,
     table (workflow chain, specialty match, or direct sender/receiver).
 
     Each Select's branches come from its shape's template (_template),
-    built once; per request rewrite only checks the subject, requalifies
+    built once; per request rewrite only checks the subject, qualifies
     the user's conditions, literals included, and adds a wireless
     session's two gates, which name ctx.user. A Select that fails to
     rewrite is not kept, so it raises on every call.
@@ -311,7 +294,7 @@ def rewrite(q: Query, ctx: SessionContext, d: Dataset,
     branches, provenance = (), ()
     for n, sel in enumerate(union_branches(q)):
         t = _template(sel, mode, d, wireless)
-        user = tuple(_requalify_predicate(p, t.aliases, t.user_tables) for p in sel.where)
+        user = tuple(_qualified(p, t.scope) for p in sel.where)
         part = t.branches
         if gates or user:
             part = tuple(Branch(b.projection, b.tables, gates, b.identity, b.chain, user)
@@ -326,26 +309,30 @@ def rewrite(q: Query, ctx: SessionContext, d: Dataset,
 
 def _template(q: Select, mode: str, d: Dataset, wireless: bool) -> _Template:
     """q's shape's template, from the memo or built and kept. Building it
-    reads only d's foreign keys and TABLE_COLUMNS."""
+    reads only d's foreign keys and the tables' columns. It refuses a
+    self-join, links (NoChainError), then qualifies the projection and
+    linkage's predicates, so a chain column the target lacks raises here."""
     key = (q.tables, q.projection, mode, d.manifest.foreign_keys, wireless)
     template = _templates.get(key)
     if template is not None:
         return template
-    aliases = _alias_map(q)
-    user_tables = [aliases[t.binding] for t in q.tables]
-    target = user_tables[0]
-
-    chain_tables = linkage.link_tables(target, mode, d)
+    user_tables = [t.table for t in q.tables]
+    if len(set(user_tables)) < len(user_tables):
+        raise UnsupportedFeatureError("self-joins cannot be rewritten")
+    chain_tables, conjunctions = linkage.link(user_tables[0], mode, d)
     from_tables = list(chain_tables) + [t for t in user_tables if t not in chain_tables]
 
-    projection = _scoped_projection(q, aliases)
+    scope = _Scope(q.tables)
+    projection = _scoped_projection(q, scope)
     tables = tuple(TableRef(t) for t in from_tables)
-    branches = tuple(Branch(projection, tables, (), identity, tuple(rest), ())
-                     for identity, *rest in linkage.link(target, mode, d))
+    own = _Scope(tables)
+    branches = tuple(Branch(projection, tables, (), _qualified(identity, own),
+                            tuple(_qualified(p, own) for p in rest), ())
+                     for identity, *rest in conjunctions)
 
     head = (f"mode:{mode}",) + (("range-gates",) if wireless else ()) + ("session-predicate",)
     tail = (f"union-branches:{len(branches)}",) if len(branches) > 1 else ()
-    template = _Template(aliases, user_tables, branches, head, tail)
+    template = _Template(scope, branches, head, tail)
     if len(_templates) >= TEMPLATE_MEMO_SIZE:
         _templates.clear()
     _templates[key] = template  # racing threads store equal templates

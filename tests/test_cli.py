@@ -267,6 +267,21 @@ def test_a_corridor_override_that_is_no_width_is_one_error_line(capsys, state_fi
         f"error: corridor_km: must be a finite number >= 0, not {float(width)!r}"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("select * from carrier", "no column 'sender' in 'carrier'"),
+    ("select * from object o where o.nosuch = 'x'", "no column 'nosuch' in 'o'")])
+@pytest.mark.parametrize("command", ["query", "explain"])
+def test_a_vpd_naming_a_missing_column_is_one_error_line_off_route(capsys, state_file,
+                                                                   command, text, message):
+    # Off route, a refused request must fail as a granted one does, not print REVOKED.
+    run(capsys, "login", "--data", DATA, "--state", state_file, "--user", "Parker",
+        "--lat", "10", "--lon", "10", "--time", "2010-08-20T12:00:00Z")
+    code, out, err = run(capsys, command, "--data", DATA, "--state", state_file,
+                         "--subject", "Parker", "--mode", "direct", text)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_manifest_override(capsys, tmp_path, state_file):
     manifest = tmp_path / "schema.json"
     manifest.write_text(json.dumps({

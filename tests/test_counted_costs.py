@@ -7,6 +7,10 @@ not assigned to, and counts the environments each join step of
 queryir._join yields (each _probe or _cross generator, in the order the
 steps are built). The counts must not grow with the objects the subject
 cannot reach.
+
+A supervisor's query should not cost subordinates x objects. The same
+holds for a wired supervisor, in both supervisor modes, when every added
+object rides a carrier that neither it nor any subordinate is on.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ def _with_unreachable_objects(d, carriers: list[str]):
     return out
 
 
-def _counted(monkeypatch, d, ctx, text: str, mode: str):
+def _counted(monkeypatch, d, ctx, text: str, mode: str, supervisor_mode: str = "narrative"):
     """The request's outcome and the environments each join step yielded."""
     steps: list[list[int]] = []
 
@@ -71,7 +75,8 @@ def _counted(monkeypatch, d, ctx, text: str, mode: str):
     with monkeypatch.context() as patch:
         patch.setattr(queryir, "_probe", counting(queryir._probe))
         patch.setattr(queryir, "_cross", counting(queryir._cross))
-        outcome = engine.run_query(d, ctx, text, chain_mode=mode)
+        outcome = engine.run_query(d, ctx, text, chain_mode=mode,
+                                   supervisor_mode=supervisor_mode)
     return outcome, [count[0] for count in steps]
 
 
@@ -88,3 +93,41 @@ def test_a_field_query_does_not_cost_the_objects_its_subject_cannot_reach(monkey
             assert small_outcome.state.valid and big_outcome.state.valid
             assert big_outcome.rows == small_outcome.rows
             assert small and counted == small, (mode, text, s.name)
+
+
+def _supervisor_cases(n: int) -> list[tuple]:
+    """(dataset, supervisor, carriers none of its principals is on): the
+    first n randgen datasets with objects and a supervisor some of whose
+    subordinates are assigned to some carriers, not all. Its principals
+    are the supervisor and its subordinates."""
+    cases = []
+    for seed in range(1000):
+        d = random_dataset(random.Random(seed))
+        for s in d.subjects:
+            principals = linkage.subordinates(s.name, d) | {s.name}
+            own = {a.carrier_id for name in principals
+                   for a in d.assignments_of(d.subject_by_name[name].id)}
+            others = [c.id for c in d.carriers if c.id not in own]
+            if d.objects and own and others and len(principals) > 1:
+                cases.append((d, s, others))
+                break
+        if len(cases) == n:
+            return cases
+    raise AssertionError(f"only {len(cases)} supervisor cases")
+
+
+@pytest.mark.parametrize("supervisor_mode", linkage.SUPERVISOR_MODES)
+@pytest.mark.parametrize("mode", linkage.CHAIN_MODES)
+def test_a_supervisor_query_does_not_cost_the_objects_no_subordinate_can_reach(
+        monkeypatch, mode, supervisor_mode):
+    for d, s, others in _supervisor_cases(12):
+        big = _with_unreachable_objects(d, others)
+        for text in FIELD_QUERIES:
+            small_outcome, small = _counted(monkeypatch, d, open_session(s.name, None, None, d),
+                                            text, mode, supervisor_mode)
+            big_outcome, counted = _counted(monkeypatch, big, open_session(
+                s.name, None, None, big), text, mode, supervisor_mode)
+            assert small_outcome.state.valid and big_outcome.state.valid
+            assert small_outcome.vpd.expansion is not None
+            assert big_outcome.rows == small_outcome.rows
+            assert small and counted == small, (mode, supervisor_mode, text, s.name)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vpdgate import engine, linkage, oracle, vpdrewrite
+from vpdgate import engine, linkage, oracle, relstore, vpdrewrite
 from vpdgate.errors import UnknownColumnError
 from vpdgate.lifecycle import build_vpd, check_validity
 from vpdgate.queryir import evaluate, parse_query, render_query, union_branches
@@ -264,11 +264,13 @@ def test_verdict_memo_follows_dataset_versions(fixture_dataset):
                               off_again, "strict", contexts).valid
 
 
-def test_verdict_memo_stays_within_its_limit(fixture_dataset, monkeypatch):
+def test_verdict_memo_stays_within_its_limit(monkeypatch):
     # The corridor memo is keyed by (carrier, location), not by time: each
-    # report moves, so that every in-window report adds entries.
+    # report moves, so that every in-window report adds entries. A derived
+    # version carries its parent's memo, which other tests filled under the
+    # real bound, so the version derives from a fresh load.
     monkeypatch.setattr(linkage, "VERDICT_MEMO_SIZE", 3)
-    d = fixture_dataset.with_assignment("s04", "t5")
+    d = relstore.load_bundled("logistics").with_assignment("s04", "t5")
     memo = d.corridor_tests
     sizes = []
     for k in range(12):

@@ -112,19 +112,23 @@ def test_supervisors_ordered_nearest_first(fixture_dataset):
 
 
 def test_link_workflow(fixture_dataset):
-    [branch] = linkage.link("object", "workflow", fixture_dataset)
+    tables, [branch] = linkage.link("object", "workflow", fixture_dataset)
+    chain = linkage.workflow("object", fixture_dataset)
+    assert tables == chain.tables == ("subject", "assignment", "object")
     assert branch[0] == ColEqContext(ColumnRef("subject", "name"), "session_user")
-    assert branch[1:] == linkage.workflow("object", fixture_dataset).predicates
+    assert branch[1:] == chain.predicates
 
 
 def test_link_specialty(fixture_dataset):
-    [branch] = linkage.link("object", "specialty", fixture_dataset)
+    tables, [branch] = linkage.link("object", "specialty", fixture_dataset)
+    assert tables == ("subject", "object")
     assert branch[1] == ColEqCol(ColumnRef("subject", "specialty"),
                                  ColumnRef("object", "name"))
 
 
 def test_link_direct_two_branches(fixture_dataset):
-    branches = linkage.link("object", "direct", fixture_dataset)
+    tables, branches = linkage.link("object", "direct", fixture_dataset)
+    assert tables == ("subject", "object")
     assert len(branches) == 2
     assert branches[0][1] == ColEqCol(ColumnRef("subject", "id"),
                                       ColumnRef("object", "sender"))
@@ -340,7 +344,7 @@ def test_workflow_chain_is_computed_once_per_manifest(fixture_dataset, monkeypat
     # A derived version shares the manifest, so it reuses the chain.
     derived = d.with_assignment("s04", "t5")
     assert linkage.workflow("object", derived) is chain
-    assert linkage.link_tables("object", "workflow", derived) == chain.tables
+    assert linkage.link("object", "workflow", derived)[0] == chain.tables
     assert linkage.workflow("org_hierarchy", derived).tables == ("subject", "org_hierarchy")
     assert len(built) == 2  # one graph per chain computed: object, org_hierarchy
     for _ in range(2):

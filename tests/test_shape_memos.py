@@ -198,7 +198,7 @@ def test_unknown_subject_raises_after_its_shape_is_warm():
 
 @pytest.mark.parametrize("text, error, kept", [
     ("select nosuch from object", UnknownColumnError, 0),
-    # The shape is valid and kept; its condition is requalified per request.
+    # The shape is valid and kept; its condition is qualified per request.
     ("select * from object where nosuch = 'x'", UnknownColumnError, 1),
     ("select * from object a, object b", UnsupportedFeatureError, 0),
 ])

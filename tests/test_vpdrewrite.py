@@ -1,8 +1,11 @@
 import pytest
 
-from vpdgate import linkage, queryir, relstore
+from vpdgate import engine, linkage, queryir, relstore
+from vpdgate.errors import (NoChainError, UnknownColumnError, UnknownTableError,
+                            UnsupportedFeatureError)
 from vpdgate.queryir import InRange, InSubquery, Select, Union, evaluate, parse_query, render_query
 from vpdgate.sessionctx import open_session
+from vpdgate.timeutil import parse_timestamp
 from vpdgate.vpdrewrite import (
     HEAD_OF_OU_POLICY,
     Branch,
@@ -15,6 +18,8 @@ from vpdgate.vpdrewrite import (
     materialize,
     rewrite,
 )
+
+from conftest import MEXICO_CITY
 
 Q = "select * from object"
 
@@ -294,3 +299,69 @@ def test_rewrite_org_hierarchy_target(fixture_dataset, parker_wired, chris_wired
     v = rewrite(q, chris_wired, fixture_dataset)
     rows = materialize(v, fixture_dataset, chris_wired)
     assert rows.rows == (("Delivery", "Trucking"),)
+
+
+# A column the rewrite names is resolved once, in its Select's FROM scope
+# (queryir._Scope), when the shape's template is built or the request's
+# conditions are qualified. So a VPD that would name a column its table
+# lacks is never built, and a granted request, a refused one and explain
+# all raise the same error.
+
+def _parker_at(d, where):
+    point = {"on-route": (39.4731, -98.0592), "off-route": MEXICO_CITY}[where]
+    return open_session("Parker", point, parse_timestamp("2010-08-20T12:00:00Z"), d)
+
+
+def _every_path_raises(d, ctx, text, mode, error, message):
+    for request in (engine.run_query, engine.explain):
+        with pytest.raises(error) as raised:
+            request(d, ctx, text, chain_mode=mode)
+        assert type(raised.value) is error and str(raised.value) == message
+
+
+@pytest.mark.parametrize("where", ["on-route", "off-route"])
+@pytest.mark.parametrize("mode, target, column", [
+    ("direct", "carrier", "sender"), ("direct", "assignment", "sender"),
+    ("specialty", "carrier", "name"), ("specialty", "assignment", "name")])
+def test_a_chain_column_the_target_lacks_fails_whatever_the_verdict(
+        fixture_dataset, where, mode, target, column):
+    _every_path_raises(fixture_dataset, _parker_at(fixture_dataset, where),
+                       f"select * from {target}", mode, UnknownColumnError,
+                       f"no column {column!r} in {target!r}")
+
+
+@pytest.mark.parametrize("where", ["on-route", "off-route"])
+@pytest.mark.parametrize("mode", linkage.CHAIN_MODES)
+def test_a_user_column_the_table_lacks_fails_whatever_the_verdict(fixture_dataset, where, mode):
+    _every_path_raises(fixture_dataset, _parker_at(fixture_dataset, where),
+                       "select * from object o where o.nosuch = 'x'", mode,
+                       UnknownColumnError, "no column 'nosuch' in 'o'")
+
+
+@pytest.mark.parametrize("where", ["on-route", "off-route"])
+@pytest.mark.parametrize("text", ["select * from object o where x.oid = 'x'",
+                                  "select x.oid from object o"])
+def test_an_unknown_qualifier_is_an_unknown_table(fixture_dataset, where, text):
+    _every_path_raises(fixture_dataset, _parker_at(fixture_dataset, where), text, "workflow",
+                       UnknownTableError, "column x.oid references 'x', which is not in FROM")
+
+
+@pytest.mark.parametrize("mode", linkage.CHAIN_MODES)
+def test_a_binding_named_twice_is_refused_as_the_evaluator_refuses_it(fixture_dataset, mode):
+    text = "select * from object o, carrier o"
+    with pytest.raises(UnknownTableError, match="duplicate table binding 'o'"):
+        evaluate(parse_query(text), fixture_dataset)
+    _every_path_raises(fixture_dataset, _parker_at(fixture_dataset, "off-route"), text, mode,
+                       UnknownTableError, "duplicate table binding 'o'")
+
+
+def test_the_rewrite_refuses_in_order_self_join_then_chain_then_scope(fixture_dataset,
+                                                                         parker_wired):
+    d = fixture_dataset
+    with pytest.raises(UnsupportedFeatureError, match="self-joins cannot be rewritten"):
+        rewrite(parse_query("select * from nosuch a, nosuch b"), parker_wired, d)
+    with pytest.raises(NoChainError):
+        rewrite(parse_query("select * from nosuch where x = 1"), parker_wired, d)
+    for mode in ("specialty", "direct"):
+        with pytest.raises(UnknownTableError, match="unknown table: 'nosuch'"):
+            rewrite(parse_query("select * from nosuch where x = 1"), parker_wired, d, mode)
